@@ -206,8 +206,16 @@ func (q *eventQueue) pop(t *sched.Task, block bool) (wm.InputEvent, bool) {
 		if !block {
 			return wm.InputEvent{}, false
 		}
-		q.wq.Sleep(t)
+		q.wq.SleepUnlessKillable(t, q.nonEmpty)
 	}
+}
+
+// nonEmpty reports a queued event — pop's wait condition, re-checked once
+// the reader is registered.
+func (q *eventQueue) nonEmpty() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.events) > 0
 }
 
 // initKeyboard performs the USPi-style enumeration dance and installs the

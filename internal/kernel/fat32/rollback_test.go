@@ -12,12 +12,14 @@ import (
 )
 
 // flakyDev wraps a device and, once armed, fails WriteBlocks after a set
-// number of further write commands succeed.
+// number of further write commands succeed. Only commands reaching at or
+// above minLBA count; zero means every write.
 type flakyDev struct {
 	fs.BlockDevice
 	mu       sync.Mutex
 	armed    bool
 	okWrites int
+	minLBA   int
 }
 
 var errInjected = errors.New("flaky: injected write error")
@@ -37,7 +39,7 @@ func (d *flakyDev) disarm() {
 
 func (d *flakyDev) WriteBlocks(lba, n int, src []byte) error {
 	d.mu.Lock()
-	if d.armed {
+	if d.armed && lba+n > d.minLBA {
 		if d.okWrites == 0 {
 			d.mu.Unlock()
 			return errInjected
@@ -178,19 +180,43 @@ func TestRollbackConcurrentNeighbors(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Inject only into file data clusters, past the FAT and the root
+	// directory's first cluster, and create the neighbour before the
+	// window opens. A failed FAT, directory-entry or create-time flush
+	// latches the mount read-only (errors=remount-ro), after which neither
+	// file could write and the rollback under test would never run. The
+	// neighbour still truncates, frees and reallocates its clusters every
+	// round, racing the victim's allocation and rollback.
+	dev.mu.Lock()
+	dev.minLBA = f.clusterSector(rootCluster + 1)
+	dev.mu.Unlock()
+	nf, err := openOF(f, "/steady.bin", fs.OCreate|fs.OWrOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nf.Close(nil)
+	free0, err := f.FreeClusters(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The neighbour rewrites until the window has closed, and its last
+	// round starts only after that, so the final content is known.
 	neighbor := bytes.Repeat([]byte{2}, 32<<10)
-	done := make(chan struct{})
+	done, disarmed := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 0; i < 6; i++ {
+		for i := 0; ; i++ {
+			final := false
+			if i >= 5 {
+				select {
+				case <-disarmed:
+					final = true
+				default:
+				}
+			}
 			nf, err := openOF(f, "/steady.bin", fs.OCreate|fs.OWrOnly|fs.OTrunc)
 			if err != nil {
-				// The create/truncate path may absorb the injected failure
-				// instead of the victim; this loop rewrites from scratch
-				// each round, so just take another one.
-				if errors.Is(err, errInjected) {
-					continue
-				}
 				t.Errorf("neighbor open: %v", err)
 				return
 			}
@@ -199,6 +225,9 @@ func TestRollbackConcurrentNeighbors(t *testing.T) {
 				return
 			}
 			nf.Close(nil)
+			if final {
+				return
+			}
 		}
 	}()
 	// Inject one failure window; the victim's write must roll back while
@@ -208,6 +237,7 @@ func TestRollbackConcurrentNeighbors(t *testing.T) {
 	dev.arm(1)
 	_, werr := victim.Write(nil, bytes.Repeat([]byte{3}, 20000))
 	dev.disarm()
+	close(disarmed)
 	<-done
 	if t.Failed() {
 		return
@@ -222,7 +252,7 @@ func TestRollbackConcurrentNeighbors(t *testing.T) {
 		t.Fatalf("victim stat = %+v, %v", st, err)
 	}
 	// The neighbour's final rewrite (after disarm) must be intact.
-	nf, err := openOF(f, "/steady.bin", fs.ORdOnly)
+	nf, err = openOF(f, "/steady.bin", fs.ORdOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,4 +270,14 @@ func TestRollbackConcurrentNeighbors(t *testing.T) {
 	}
 	nf.Close(nil)
 	victim.Close(nil)
+	// The rollback freed exactly what the victim's write appended: the
+	// only clusters claimed since free0 are the neighbour's growth from
+	// its first cluster to its final size.
+	free, err := f.FreeClusters(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := free0 - (len(neighbor)/ClusterSize - 1); free != want {
+		t.Fatalf("free clusters = %d, want %d", free, want)
+	}
 }

@@ -3,6 +3,8 @@ package fs
 import (
 	"bytes"
 	"errors"
+	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -39,6 +41,56 @@ func TestCleanPaths(t *testing.T) {
 	for in, want := range cases {
 		if got := Clean(in); got != want {
 			t.Errorf("Clean(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// cleanSplitJoin is the split-and-join Clean this package used to ship:
+// the reference the allocation-free version must agree with.
+func cleanSplitJoin(path string) string {
+	if path == "" {
+		return "/"
+	}
+	segs := strings.Split(path, "/")
+	out := make([]string, 0, len(segs))
+	for _, s := range segs {
+		switch s {
+		case "", ".":
+		case "..":
+			if len(out) > 0 {
+				out = out[:len(out)-1]
+			}
+		default:
+			out = append(out, s)
+		}
+	}
+	return "/" + strings.Join(out, "/")
+}
+
+// TestCleanMatchesSplitJoin compares Clean against the reference on
+// random paths built from the pieces that matter: separators, dots,
+// dot-dots, and names that merely start with a dot.
+func TestCleanMatchesSplitJoin(t *testing.T) {
+	pieces := []string{"/", "//", ".", "..", "...", ".a", "a", "bc", "a.", "..b"}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		var b strings.Builder
+		for n := rng.Intn(8); n > 0; n-- {
+			b.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		in := b.String()
+		if got, want := Clean(in), cleanSplitJoin(in); got != want {
+			t.Fatalf("Clean(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// TestCleanCleanPathAllocs pins the fast path: a path that is already
+// clean costs no allocation.
+func TestCleanCleanPathAllocs(t *testing.T) {
+	for _, p := range []string{"/", "/d/churn/f17.tmp", "/a/.hidden/..x"} {
+		if n := testing.AllocsPerRun(100, func() { _ = Clean(p) }); n != 0 {
+			t.Errorf("Clean(%q) allocated %.0f times, want 0", p, n)
 		}
 	}
 }

@@ -77,8 +77,25 @@ func (r *PipeReader) Read(t *sched.Task, buf []byte) (int, error) {
 			return 0, nil // EOF
 		}
 		p.mu.Unlock()
-		p.rwq.Sleep(t)
+		p.rwq.SleepUnlessKillable(t, p.readable)
 	}
+}
+
+// readable reports data to read or no writer left (EOF) — the wait
+// condition of Read, re-checked once the reader is registered, so a
+// Write or Close landing in between cannot be lost.
+func (p *pipe) readable() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.used() > 0 || p.writers == 0
+}
+
+// writable reports room in the ring or no reader left — Write's wait
+// condition, re-checked the same way.
+func (p *pipe) writable() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.used() < PipeSize || p.readers == 0
 }
 
 // Write blocks while the ring is full; writing with no readers returns
@@ -107,7 +124,7 @@ func (w *PipeWriter) Write(t *sched.Task, buf []byte) (int, error) {
 			p.rwq.WakeAll()
 		}
 		if written < len(buf) {
-			p.wwq.Sleep(t)
+			p.wwq.SleepUnlessKillable(t, p.writable)
 		}
 	}
 	return written, nil

@@ -2,6 +2,7 @@ package fs
 
 import (
 	"fmt"
+	"path"
 	"sort"
 	"strings"
 	"sync"
@@ -165,24 +166,13 @@ func (v *VFS) Stat(t *sched.Task, path string) (Stat, error) {
 
 // Clean normalizes a path: leading '/', no trailing '/' (except root), no
 // empty or dot segments. ".." collapses textually (Proto has no symlinks).
-func Clean(path string) string {
-	if path == "" {
-		return "/"
+// It runs several times per syscall, so an already-clean path comes back
+// as is, without allocating.
+func Clean(p string) string {
+	if p == "" || p[0] != '/' {
+		p = "/" + p
 	}
-	segs := strings.Split(path, "/")
-	out := make([]string, 0, len(segs))
-	for _, s := range segs {
-		switch s {
-		case "", ".":
-		case "..":
-			if len(out) > 0 {
-				out = out[:len(out)-1]
-			}
-		default:
-			out = append(out, s)
-		}
-	}
-	return "/" + strings.Join(out, "/")
+	return path.Clean(p)
 }
 
 // IsPathAncestor reports whether cleaned path a strictly contains cleaned

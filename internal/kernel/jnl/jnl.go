@@ -1,6 +1,6 @@
 // Package jnl is a write-ahead metadata journal in the xv6 logging
 // tradition, adapted to live ABOVE a write-behind buffer cache instead of
-// xv6's write-through one.
+// xv6's write-through one, and checkpointed lazily in the ext3/jbd2 style.
 //
 // The contract: a filesystem operation brackets itself with Begin/End and
 // Records every metadata block it modifies. Recorded blocks are FROZEN in
@@ -8,31 +8,41 @@
 // writeback path — so uncommitted metadata can never reach its home
 // location. When the last outstanding operation Ends, the whole batch
 // commits as one transaction (group commit): the frozen blocks are copied
-// into the on-disk log's slot blocks and flushed under a single request-
-// queue plug — one merged burst — and then the header block naming their
-// home addresses is written and flushed. That header write is the commit
-// point: before it, a crash replays nothing and the operations never
-// happened; after it, recovery replays every block from the log and they
-// all happened. Nothing in between is observable.
+// into the log slots after the ones earlier transactions still occupy and
+// flushed under a single request-queue plug — one merged burst — and then
+// the header block is rewritten to name the home address of EVERY
+// occupied slot, in slot order, and flushed. That header write is the
+// commit point: before it, a crash replays only the earlier transactions
+// and this one never happened; after it, recovery replays every slot in
+// order (a later copy of a block overwrites an earlier one) and it did.
+// Nothing in between is observable. Commit's critical path is those two
+// flushes.
 //
-// After commit the blocks are thawed into ordinary dirty buffers; writing
-// them home is the CHECKPOINT, and it rides the existing write-behind
-// machinery — the kflushd daemon's idle hook (bcache.SetIdleHook) triggers
-// it during quiet periods, so commit's critical path stays two flushes
-// long. The one ordering obligation is that a transaction's home blocks
-// must be durable before its header is invalidated, and the header must be
-// invalidated before the NEXT transaction reuses the slot blocks —
-// otherwise a crash would replay the old header over new slot contents.
-// commit and checkpoint both preserve this by completing the previous
-// transaction's checkpoint (and zeroing the header, flushed) before any
-// slot is rewritten.
+// After commit the blocks are thawed into ordinary dirty buffers. Writing
+// them home and then zeroing the header is the CHECKPOINT, and it empties
+// the whole log at once. It runs only when it must or when it is free:
+// when the next batch would not fit behind the occupied slots, when the
+// kflushd daemon's idle hook fires (bcache.SetIdleHook), and at the
+// volume's Sync. The one ordering obligation is that every logged
+// transaction's home blocks must be durable before the header is zeroed,
+// and the header must be zeroed before a slot is reused — otherwise a
+// crash would replay the old header over new slot contents.
 //
 // One wrinkle is unique to the write-behind world: a block committed by
-// transaction N may be re-modified (and re-frozen) by the still-open
-// transaction N+1 before N's checkpoint ran. Its cache buffer then holds
-// N+1's uncommitted content and must not be flushed — N's committed
-// content is INSTALLED from its log slot copy straight to the home
-// address, bypassing the cache (installs in Stats counts these).
+// an earlier transaction may be re-modified (and re-frozen) by the
+// still-open batch when a checkpoint runs. Its cache buffer then holds
+// uncommitted content and must not be flushed — the latest committed
+// content is INSTALLED from its log slot straight to the home address,
+// bypassing the cache (installs in Stats counts these).
+//
+// The other is the jbd2 REVOKE rule. File data is not journaled, so a
+// freed metadata block (a directory or indirect block) that a logged
+// transaction still names must not be reused for file data: replaying
+// that old transaction after a crash would write the stale metadata over
+// the new data. Revoke quarantines a freed block; Revoked reports it
+// until the freeing transaction has committed AND no transaction still in
+// the log names the block — at the next checkpoint at the latest. When
+// revoked blocks are the only free ones, Drain empties the log on demand.
 package jnl
 
 import (
@@ -41,6 +51,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"protosim/internal/kernel/bcache"
 	"protosim/internal/kernel/fs"
@@ -55,14 +66,15 @@ const Magic = 0x6A6E6C31 // "jnl1"
 // a batch never outgrows the slots mid-operation.
 const DefaultMaxOp = 10
 
-// ErrTooBig reports an operation that recorded more blocks than the log
+// ErrTooBig reports an operation that recorded more blocks than one batch
 // can hold — a filesystem bug (operations must fit DefaultMaxOp).
 var ErrTooBig = errors.New("jnl: transaction exceeds log size")
 
 // ErrBadLog reports a log header that carries the magic but names an
-// impossible transaction — a slot count beyond the region or a home
-// address outside the device (or inside the log itself). Mount refuses
-// such an image rather than replay garbage over live blocks.
+// impossible log — a slot count beyond the on-disk region or the header's
+// capacity, or a home address outside the device (or inside the log
+// itself). Mount refuses such an image rather than replay garbage over
+// live blocks.
 var ErrBadLog = errors.New("jnl: corrupt log header")
 
 // ErrAborted reports a transaction poisoned by a mid-operation device
@@ -79,7 +91,9 @@ type Journal struct {
 	tdev      fs.TaskBlockDevice // non-nil when dev threads tasks (blkq)
 	blockSize int
 	start     int // header block LBA
-	slots     int // usable slot blocks (header excluded)
+	region    int // slot blocks in the on-disk region (header excluded)
+	slots     int // slots the log may fill: region capped by the header's capacity
+	batchMax  int // slots one batch may fill: also capped at half the cache
 	maxOp     int
 
 	mu          sync.Mutex
@@ -92,16 +106,27 @@ type Journal struct {
 
 	batch   []*bcache.Buf       // frozen buffers of the open batch, record order
 	inBatch map[int]*bcache.Buf // home lba -> frozen buffer (absorption)
-	pending map[int]int         // committed, un-checkpointed: home lba -> slot
+
+	// The committed, un-checkpointed log. homes[i] is the home LBA slot i
+	// holds (the header's contents); pending maps each home LBA to the
+	// LATEST slot naming it.
+	homes   []int
+	pending map[int]int
 
 	// discarded marks pending home LBAs whose cache buffers an abort
 	// invalidated: their committed content now lives only in the log
 	// slots, so checkpoint must install them home from there.
 	discarded map[int]bool
 
-	onCommit []func()
+	// The revoke rule (see the package comment). freed holds blocks freed
+	// by the open batch; revoked holds blocks whose freeing transaction
+	// committed while the log still named them. Both are guarded by revMu
+	// — the allocator consults them while commit owns the log state.
+	revMu   sync.Mutex
+	freed   map[int]bool
+	revoked map[int]bool
 
-	commits, checkpoints, installs, absorbed, recovered, aborts int64
+	commits, checkpoints, installs, absorbed, recovered, aborts atomic.Int64
 }
 
 // Stats is a snapshot of journal activity for tests and /proc.
@@ -115,31 +140,27 @@ type Stats struct {
 }
 
 // New wires a journal over the log region [start, start+blocks) of bc's
-// device. blocks includes the header; the usable slot count is further
-// capped at half the cache (frozen buffers must never exhaust it) and at
-// what the header block can index.
+// device. blocks includes the header; the log fills at most as many slots
+// as the header block can index, and one batch at most half the cache
+// (its buffers stay frozen until commit and must never exhaust it).
 func New(bc *bcache.Cache, start, blocks int) *Journal {
 	j := &Journal{
 		bc:        bc,
 		dev:       bc.Device(),
 		blockSize: bc.Device().BlockSize(),
 		start:     start,
-		slots:     blocks - 1,
+		region:    blocks - 1,
 		maxOp:     DefaultMaxOp,
 		inBatch:   make(map[int]*bcache.Buf),
 		pending:   make(map[int]int),
 		discarded: make(map[int]bool),
+		freed:     make(map[int]bool),
+		revoked:   make(map[int]bool),
 	}
 	j.tdev, _ = j.dev.(fs.TaskBlockDevice)
-	if half := bc.Buffers() / 2; j.slots > half {
-		j.slots = half
-	}
-	if max := (j.blockSize - 8) / 4; j.slots > max {
-		j.slots = max
-	}
-	if j.maxOp > j.slots {
-		j.maxOp = j.slots
-	}
+	j.slots = min(j.region, (j.blockSize-8)/4)
+	j.batchMax = min(j.slots, bc.Buffers()/2)
+	j.maxOp = min(j.maxOp, j.batchMax)
 	return j
 }
 
@@ -154,18 +175,32 @@ func yieldRetry(t *sched.Task) {
 	}
 }
 
-// OnCommit registers fn to run after every successful commit (the
-// filesystem clears its freed-block reuse guard here). Call before the
-// journal sees traffic.
-func (j *Journal) OnCommit(fn func()) { j.onCommit = append(j.onCommit, fn) }
+// Revoke quarantines a block the open batch frees, so the filesystem does
+// not hand it to unjournaled file data while a logged transaction could
+// still replay old metadata over it. Call inside the freeing operation's
+// Begin/End bracket.
+func (j *Journal) Revoke(lba int) {
+	j.revMu.Lock()
+	j.freed[lba] = true
+	j.revMu.Unlock()
+}
+
+// Revoked reports whether lba is quarantined: freed by the open batch, or
+// freed by a committed transaction while the log still names it. The
+// allocator skips such blocks.
+func (j *Journal) Revoked(lba int) bool {
+	j.revMu.Lock()
+	defer j.revMu.Unlock()
+	return j.freed[lba] || j.revoked[lba]
+}
 
 // Begin opens an operation bracket, blocking while a commit or checkpoint
-// owns the log or while admitting another operation could overflow it
-// (every admitted operation may still Record maxOp blocks).
+// owns the log or while admitting another operation could overflow the
+// batch (every admitted operation may still Record maxOp blocks).
 func (j *Journal) Begin(t *sched.Task) {
 	for {
 		j.mu.Lock()
-		if !j.committing && len(j.batch)+(j.outstanding+1)*j.maxOp <= j.slots {
+		if !j.committing && len(j.batch)+(j.outstanding+1)*j.maxOp <= j.batchMax {
 			j.outstanding++
 			j.mu.Unlock()
 			return
@@ -187,12 +222,12 @@ func (j *Journal) Record(t *sched.Task, b *bcache.Buf) error {
 		return fmt.Errorf("jnl: Record outside Begin/End")
 	}
 	if _, ok := j.inBatch[b.LBA()]; ok {
-		j.absorbed++
+		j.absorbed.Add(1)
 		j.mu.Unlock()
 		j.bc.Freeze(b) // idempotent; re-marks dirty after any clean transition
 		return nil
 	}
-	if len(j.batch) >= j.slots {
+	if len(j.batch) >= j.batchMax {
 		j.mu.Unlock()
 		return ErrTooBig
 	}
@@ -232,10 +267,11 @@ func abortError(cause error) error {
 }
 
 // discard drops the poisoned batch. Caller owns the log state (committing
-// set, outstanding zero). Blocks that also belong to the still-pending
-// previous transaction lose their cache copy of THAT transaction's
-// content too — mark them so checkpoint installs them home from their log
-// slots instead of flushing a buffer that no longer exists.
+// set, outstanding zero). Blocks that a logged transaction also holds
+// lose their cache copy of its committed content too — mark them so
+// checkpoint installs them home from their log slots instead of flushing
+// a buffer that no longer exists. Blocks the batch revoked stay
+// quarantined until the next commit decides their fate.
 func (j *Journal) discard(t *sched.Task) {
 	for _, b := range j.batch {
 		b.Lock(t)
@@ -249,7 +285,7 @@ func (j *Journal) discard(t *sched.Task) {
 	j.inBatch = make(map[int]*bcache.Buf)
 	j.aborted = false
 	j.abortCause = nil
-	j.aborts++
+	j.aborts.Add(1)
 }
 
 // End closes an operation bracket. The LAST close commits the whole batch
@@ -294,52 +330,67 @@ func (j *Journal) End(t *sched.Task) error {
 // journal error. This is fsync's and umount's ordering barrier: when it
 // returns nil, every operation that Ended before the call is on disk, in
 // the log or at home.
-func (j *Journal) Sync(t *sched.Task) error {
+func (j *Journal) Sync(t *sched.Task) error { return j.sync(t, false) }
+
+// Drain is Sync followed by a checkpoint at the same quiet moment: when
+// it returns nil the log is empty, so no block stays revoked. It is the
+// allocator's way out when every free block is revoked; call it with no
+// bracket open.
+func (j *Journal) Drain(t *sched.Task) error { return j.sync(t, true) }
+
+func (j *Journal) sync(t *sched.Task, ckpt bool) error {
 	for {
 		j.mu.Lock()
-		if j.outstanding == 0 && !j.committing {
-			if len(j.batch) == 0 {
-				j.aborted, j.abortCause = false, nil
-				err := j.err
-				j.err = nil
-				j.mu.Unlock()
-				return err
-			}
-			j.committing = true
-			aborted, cause := j.aborted, j.abortCause
+		if j.outstanding > 0 || j.committing {
 			j.mu.Unlock()
-			var cerr error
-			if aborted {
-				j.discard(t)
-				cerr = abortError(cause)
-			} else {
-				cerr = j.commit(t)
-			}
-			j.mu.Lock()
-			if cerr != nil && j.err == nil {
-				j.err = cerr
-			}
+			yieldRetry(t)
+			continue
+		}
+		if len(j.batch) == 0 && (!ckpt || len(j.homes) == 0) {
+			j.aborted, j.abortCause = false, nil
 			err := j.err
 			j.err = nil
-			j.committing = false
 			j.mu.Unlock()
 			return err
 		}
+		j.committing = true
+		aborted, cause := j.aborted, j.abortCause
 		j.mu.Unlock()
-		yieldRetry(t)
+		var cerr error
+		switch {
+		case len(j.batch) == 0:
+		case aborted:
+			j.discard(t)
+			cerr = abortError(cause)
+		default:
+			cerr = j.commit(t)
+		}
+		if cerr == nil && ckpt && len(j.homes) > 0 {
+			cerr = j.checkpoint(t)
+		}
+		j.mu.Lock()
+		if cerr != nil && j.err == nil {
+			j.err = cerr
+		}
+		err := j.err
+		j.err = nil
+		j.committing = false
+		j.mu.Unlock()
+		return err
 	}
 }
 
-// Checkpoint opportunistically drains the committed-but-unwritten
-// transaction — the kflushd idle hook calls it. It only runs when the
-// journal is quiet (no open operations, no commit in flight); at such a
-// moment the open batch is necessarily empty, so every pending block's
-// cache buffer is thawed and flushable.
-func (j *Journal) Checkpoint(t *sched.Task) {
+// Checkpoint opportunistically drains the log — the kflushd idle hook
+// and the volume's Sync call it. It only runs when the journal is quiet
+// (no open operations, no commit in flight); at such a moment the open
+// batch is necessarily empty, so every pending block's cache buffer is
+// thawed and flushable. A failure is returned and also latched for the
+// next Sync, since the idle hook has nobody to report to.
+func (j *Journal) Checkpoint(t *sched.Task) error {
 	j.mu.Lock()
-	if j.outstanding > 0 || j.committing || len(j.pending) == 0 {
+	if j.outstanding > 0 || j.committing || len(j.homes) == 0 {
 		j.mu.Unlock()
-		return
+		return nil
 	}
 	j.committing = true
 	j.mu.Unlock()
@@ -350,30 +401,41 @@ func (j *Journal) Checkpoint(t *sched.Task) {
 	}
 	j.committing = false
 	j.mu.Unlock()
+	return err
 }
 
-// commit writes the open batch to the log. Caller set committing (which
-// blocks Begin), and outstanding is zero, so batch/inBatch/pending are
-// exclusively ours even though mu is dropped.
+// commit appends the open batch to the log. Caller set committing (which
+// blocks Begin), and outstanding is zero, so the batch and the log state
+// are exclusively ours even though mu is dropped.
 //
 // Order matters everywhere here:
 //
-//  1. The PREVIOUS transaction's checkpoint completes and its header is
-//     zeroed, durably — only then may its slot blocks be reused (else a
-//     crash replays the old header over new slot contents).
-//  2. The batch is copied into slot blocks and flushed under one plug:
-//     the group-commit device burst.
-//  3. The header naming the home addresses is written and flushed: the
-//     commit point.
-//  4. The batch buffers thaw into ordinary dirty buffers and become the
-//     new pending transaction, checkpointed at leisure.
+//  1. If the batch does not fit behind the occupied slots, the log is
+//     checkpointed first: every logged transaction's blocks reach home
+//     and the header is zeroed, durably — only then may slot 0 be reused
+//     (else a crash replays the old header over new slot contents).
+//  2. The batch is copied into the free slots and flushed under one
+//     plug: the group-commit device burst.
+//  3. The header naming every occupied slot's home is written and
+//     flushed: the commit point.
+//  4. The batch buffers thaw into ordinary dirty buffers, and pending
+//     points their home LBAs at their new slots.
 func (j *Journal) commit(t *sched.Task) error {
-	if err := j.checkpoint(t); err != nil {
-		return err
+	// A wedged checkpoint (see checkpoint) forbids further commits even
+	// while the log has room: the mount never commits again.
+	if j.ckptErr != nil {
+		return j.ckptErr
 	}
+	if len(j.homes)+len(j.batch) > j.slots {
+		if err := j.checkpoint(t); err != nil {
+			return err
+		}
+	}
+	base := len(j.homes)
 	slotLBAs := make([]int, 0, len(j.batch))
+	homes := j.homes
 	for i, b := range j.batch {
-		slot := j.start + 1 + i
+		slot := j.start + 1 + base + i
 		// Buffer locks are ranked by ascending LBA. Most metadata lives
 		// above the log region, so slot-then-block is the ascending order —
 		// but the superblock (orphan list, LBA 0) sorts below it and must
@@ -397,45 +459,56 @@ func (j *Journal) commit(t *sched.Task) error {
 		j.bc.MarkDirty(sb)
 		j.bc.Release(sb)
 		slotLBAs = append(slotLBAs, slot)
+		homes = append(homes, b.LBA())
 	}
 	if err := j.bc.FlushBlocks(t, slotLBAs, true); err != nil {
 		return err
 	}
-	if err := j.writeHeader(t, j.batch); err != nil {
+	if err := j.writeHeader(t, homes); err != nil {
 		return err
 	}
+	j.homes = homes
 	for i, b := range j.batch {
-		j.pending[b.LBA()] = i
+		j.pending[b.LBA()] = base + i
 		b.Lock(t)
 		j.bc.Thaw(b)
 		b.Unlock()
 	}
 	j.batch = j.batch[:0]
 	j.inBatch = make(map[int]*bcache.Buf)
-	j.commits++
-	for _, fn := range j.onCommit {
-		fn()
+	j.commits.Add(1)
+	// The batch's frees are now durable. A freed block the log still
+	// names stays revoked until the checkpoint empties the log; any other
+	// is reusable at once.
+	j.revMu.Lock()
+	for lba := range j.freed {
+		if _, logged := j.pending[lba]; logged {
+			j.revoked[lba] = true
+		}
+		delete(j.freed, lba)
 	}
+	j.revMu.Unlock()
 	return nil
 }
 
-// checkpoint makes the pending transaction's blocks durable at home and
-// invalidates the header. Blocks whose cache buffers were re-frozen by
-// the open batch hold NEWER uncommitted content — their committed content
-// is installed straight from the log slot to the home address, bypassing
-// the cache. Caller owns the log state (committing set).
+// checkpoint makes every logged transaction's blocks durable at home and
+// invalidates the header, emptying the log. Blocks whose cache buffers
+// were re-frozen by the open batch hold NEWER uncommitted content — their
+// latest committed content is installed straight from its log slot to the
+// home address, bypassing the cache. Caller owns the log state
+// (committing set).
 func (j *Journal) checkpoint(t *sched.Task) error {
 	// A checkpoint that failed mid-way may have lost a pending block's only
 	// cache copy (a fatal writeback error gives the buffer up), leaving the
 	// log slot as the sole durable home of committed data. Retrying would
 	// skip the clean-looking buffer, complete, and zero the header — erasing
 	// that last copy. The journal wedges instead: the header stays intact,
-	// the transaction stays replayable, and the mount (latched read-only by
+	// the transactions stay replayable, and the mount (latched read-only by
 	// the first failure) never commits again.
 	if j.ckptErr != nil {
 		return j.ckptErr
 	}
-	if len(j.pending) == 0 {
+	if len(j.homes) == 0 {
 		return nil
 	}
 	flush := make([]int, 0, len(j.pending))
@@ -443,8 +516,8 @@ func (j *Journal) checkpoint(t *sched.Task) error {
 	var installs []install
 	for lba, slot := range j.pending {
 		// Install rather than flush when the cache buffer does not hold
-		// this transaction's content: re-frozen by the open batch (newer,
-		// uncommitted), or invalidated by an abort (gone).
+		// the latest committed content: re-frozen by the open batch
+		// (newer, uncommitted), or invalidated by an abort (gone).
 		if _, frozen := j.inBatch[lba]; frozen || j.discarded[lba] {
 			installs = append(installs, install{slot: j.start + 1 + slot, home: lba})
 		} else {
@@ -467,33 +540,36 @@ func (j *Journal) checkpoint(t *sched.Task) error {
 			j.ckptErr = err
 			return err
 		}
-		j.installs++
+		j.installs.Add(1)
 	}
 	if err := j.writeHeader(t, nil); err != nil {
 		j.ckptErr = err
 		return err
 	}
+	j.homes = j.homes[:0]
 	j.pending = make(map[int]int)
 	j.discarded = make(map[int]bool)
-	j.checkpoints++
+	j.checkpoints.Add(1)
+	// No transaction names a revoked block any more.
+	j.revMu.Lock()
+	clear(j.revoked)
+	j.revMu.Unlock()
 	return nil
 }
 
-// writeHeader encodes and durably writes the header block: magic, block
-// count, then the home LBA of each slot in order. A nil batch writes the
-// empty header — the invalidation.
-func (j *Journal) writeHeader(t *sched.Task, batch []*bcache.Buf) error {
+// writeHeader encodes and durably writes the header block: magic, slot
+// count, then the home LBA of each occupied slot in order. A nil homes
+// writes the empty header — the invalidation.
+func (j *Journal) writeHeader(t *sched.Task, homes []int) error {
 	hb, err := j.bc.Get(t, j.start)
 	if err != nil {
 		return err
 	}
-	for i := range hb.Data {
-		hb.Data[i] = 0
-	}
+	clear(hb.Data)
 	binary.LittleEndian.PutUint32(hb.Data[0:], Magic)
-	binary.LittleEndian.PutUint32(hb.Data[4:], uint32(len(batch)))
-	for i, b := range batch {
-		binary.LittleEndian.PutUint32(hb.Data[8+4*i:], uint32(b.LBA()))
+	binary.LittleEndian.PutUint32(hb.Data[4:], uint32(len(homes)))
+	for i, home := range homes {
+		binary.LittleEndian.PutUint32(hb.Data[8+4*i:], uint32(home))
 	}
 	j.bc.MarkDirty(hb)
 	j.bc.Release(hb)
@@ -510,11 +586,16 @@ func (j *Journal) devWrite(t *sched.Task, lba int, src []byte) error {
 	return j.dev.WriteBlocks(lba, 1, src)
 }
 
-// Recover replays the log at mount: if the header names a committed
-// transaction, every slot block is copied to its home address (through
-// the cache, flushed) and the header is invalidated. Idempotent — a crash
-// mid-recovery just replays again. Returns how many blocks were replayed.
-// Must run before the filesystem reads any metadata.
+// Recover replays the log at mount: if the header names committed
+// transactions, every slot block is copied to its home address in slot
+// order (through the cache, so a later copy of a block overwrites an
+// earlier one; flushed) and the header is invalidated. Idempotent — a
+// crash mid-recovery just replays again. Returns how many slots were
+// replayed. Must run before the filesystem reads any metadata.
+//
+// The slot count is checked against the on-disk region and the header's
+// capacity, not against this mount's cache: an image logged by a mount
+// with a larger cache must still boot under a smaller one.
 func (j *Journal) Recover(t *sched.Task) (int, error) {
 	hb, err := j.bc.Get(t, j.start)
 	if err != nil {
@@ -538,7 +619,7 @@ func (j *Journal) Recover(t *sched.Task) (int, error) {
 		// A hostile or torn header must not aim the replay outside the
 		// device or back into the log region itself.
 		if home < 0 || home >= j.dev.Blocks() ||
-			(home >= j.start && home <= j.start+j.slots) {
+			(home >= j.start && home <= j.start+j.region) {
 			j.bc.Release(hb)
 			return 0, fmt.Errorf("%w: home block %d out of range", ErrBadLog, home)
 		}
@@ -579,25 +660,25 @@ func (j *Journal) Recover(t *sched.Task) (int, error) {
 	if err := j.writeHeader(t, nil); err != nil {
 		return 0, err
 	}
-	j.recovered += int64(len(homes))
+	j.recovered.Add(int64(len(homes)))
 	return len(homes), nil
 }
 
-// Stats snapshots journal counters.
+// Stats snapshots journal counters. The counters are atomics, so a
+// snapshot never waits on (or races with) a commit in flight.
 func (j *Journal) Stats() Stats {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	return Stats{
-		Commits:     j.commits,
-		Checkpoints: j.checkpoints,
-		Installs:    j.installs,
-		Absorbed:    j.absorbed,
-		Recovered:   j.recovered,
-		Aborts:      j.aborts,
+		Commits:     j.commits.Load(),
+		Checkpoints: j.checkpoints.Load(),
+		Installs:    j.installs.Load(),
+		Absorbed:    j.absorbed.Load(),
+		Recovered:   j.recovered.Load(),
+		Aborts:      j.aborts.Load(),
 	}
 }
 
-// Slots reports the usable slot count (tests size transactions with it).
+// Slots reports how many slots the log may fill before a checkpoint must
+// empty it (tests size transactions with it).
 func (j *Journal) Slots() int { return j.slots }
 
 // MaxOp reports the per-operation block budget.

@@ -110,27 +110,48 @@ func TestCommitThenCheckpoint(t *testing.T) {
 	}
 }
 
-// TestRecoverReplaysCommitted simulates a crash between commit and
-// checkpoint: a fresh cache over the same device (the old cache's dirty
-// buffers are lost) must replay the transaction from the log.
+// remount builds a fresh cache of the given size over rd — what a crash
+// leaves behind: the old cache's dirty buffers are lost — and a journal
+// over the same log region.
+func remount(rd *fs.Ramdisk, buffers, logBlocks int) *jnl.Journal {
+	bc := bcache.NewWithOptions(rd, bcache.Options{
+		Buffers: buffers, Shards: 4, Readahead: -1,
+		FlushInterval: time.Hour, WritebackRatio: -1,
+	})
+	return jnl.New(bc, logStart, logBlocks)
+}
+
+// TestRecoverReplaysCommitted pins lazy checkpointing and multi-
+// transaction replay: three commits append behind one another without a
+// checkpoint, the header names every occupied slot in order, and after a
+// crash recovery replays them all in slot order — a block logged twice
+// ends up with its later copy.
 func TestRecoverReplaysCommitted(t *testing.T) {
 	j, bc, rd := newJournal(t, 8)
 	record(t, j, bc, 10, 0xCD)
 	record(t, j, bc, 11, 0xEF)
+	record(t, j, bc, 10, 0x12)
+	if s := j.Stats(); s.Commits != 3 || s.Checkpoints != 0 {
+		t.Fatalf("commits/checkpoints = %d/%d, want 3/0", s.Commits, s.Checkpoints)
+	}
+	ok, count, homes := header(t, rd)
+	if !ok || count != 3 || homes[0] != 10 || homes[1] != 11 || homes[2] != 10 {
+		t.Fatalf("header = valid %v, %d %v; want all three transactions' slots", ok, count, homes)
+	}
+	if home := devBlock(t, rd, 10); home[0] != 0 {
+		t.Fatal("home block written before any checkpoint")
+	}
 	// Crash: abandon bc and j. Remount over the raw device.
-	bc2 := bcache.NewWithOptions(rd, bcache.Options{
-		Buffers: 64, Shards: 4, Readahead: -1,
-		FlushInterval: time.Hour, WritebackRatio: -1,
-	})
-	j2 := jnl.New(bc2, logStart, 8)
+	j2 := remount(rd, 64, 8)
 	n, err := j2.Recover(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The second record's commit checkpointed the first, so only the
-	// second transaction (block 11) is in the log at crash time.
-	if n != 1 {
-		t.Fatalf("recovered %d blocks, want 1", n)
+	if n != 3 {
+		t.Fatalf("recovered %d slots, want 3", n)
+	}
+	if home := devBlock(t, rd, 10); home[0] != 0x12 {
+		t.Fatalf("block 10 = %#x after replay, want the later copy 0x12", home[0])
 	}
 	if home := devBlock(t, rd, 11); home[0] != 0xEF {
 		t.Fatal("recovery did not install block 11 home")
@@ -141,6 +162,34 @@ func TestRecoverReplaysCommitted(t *testing.T) {
 	// Idempotent: a second Recover finds nothing.
 	if n, err := j2.Recover(nil); err != nil || n != 0 {
 		t.Fatalf("second Recover = %d, %v; want 0, nil", n, err)
+	}
+}
+
+// TestRecoverUnderSmallerCache pins that recovery is bounded by the disk
+// geometry, not by the mounting cache: a log filled under a large cache
+// must replay under a cache whose batch limit is far below its length.
+func TestRecoverUnderSmallerCache(t *testing.T) {
+	const logBlocks = 40
+	j, bc, rd := newJournal(t, logBlocks)
+	const blocks = 30
+	for lba := 10; lba < 10+blocks; lba++ {
+		record(t, j, bc, lba, byte(lba))
+	}
+	if _, count, _ := header(t, rd); count != blocks {
+		t.Fatalf("header names %d slots, want %d", count, blocks)
+	}
+	j2 := remount(rd, 16, logBlocks) // batches capped at 8 slots
+	n, err := j2.Recover(nil)
+	if err != nil {
+		t.Fatalf("Recover under a small cache: %v", err)
+	}
+	if n != blocks {
+		t.Fatalf("recovered %d slots, want %d", n, blocks)
+	}
+	for lba := 10; lba < 10+blocks; lba++ {
+		if got := devBlock(t, rd, lba); got[0] != byte(lba) {
+			t.Fatalf("block %d = %#x after replay, want %#x", lba, got[0], byte(lba))
+		}
 	}
 }
 
@@ -236,48 +285,123 @@ func TestErrTooBig(t *testing.T) {
 	}
 }
 
-// TestInstallFromLog pins the write-behind wrinkle: a block committed by
-// transaction N then re-frozen by open transaction N+1 must have N's
-// content installed home FROM THE LOG SLOT — the cache buffer holds N+1's
-// uncommitted bytes and flushing it would leak them ahead of commit.
+// TestInstallFromLog pins the write-behind wrinkle: when a full log
+// forces a checkpoint while the open batch has re-frozen a logged block,
+// the block's committed content must be installed home FROM THE LOG SLOT
+// — the cache buffer holds the open batch's uncommitted bytes, and
+// flushing it would leak them ahead of commit.
 func TestInstallFromLog(t *testing.T) {
-	j, bc, rd := newJournal(t, 8)
-	record(t, j, bc, 10, 0x11) // txn 1 commits; checkpoint still pending
+	j, bc, rd := newJournal(t, 5) // 4 slots; one 4-block batch fills them
+	record(t, j, bc, 10, 0x11)    // txn 1 occupies slot 0
 
-	// Txn 2 re-records the same block before txn 1's checkpoint ran.
+	// Txn 2 re-records block 10 and three more: 1+4 slots do not fit, so
+	// its commit must checkpoint txn 1 first, with block 10 frozen.
 	j.Begin(nil)
-	b, err := bc.Get(nil, 10)
-	if err != nil {
+	for lba := 10; lba < 14; lba++ {
+		b, err := bc.Get(nil, lba)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range b.Data {
+			b.Data[i] = 0x22
+		}
+		if err := j.Record(nil, b); err != nil {
+			t.Fatal(err)
+		}
+		bc.Release(b)
+	}
+	if err := j.End(nil); err != nil {
 		t.Fatal(err)
 	}
-	for i := range b.Data {
-		b.Data[i] = 0x22
+
+	s := j.Stats()
+	if s.Commits != 2 || s.Checkpoints != 1 {
+		t.Fatalf("commits/checkpoints = %d/%d, want 2/1 (a full log forces one)", s.Commits, s.Checkpoints)
+	}
+	if s.Installs != 1 {
+		t.Fatalf("installs = %d, want 1", s.Installs)
+	}
+	// At this instant the durable home holds exactly txn 1's content, and
+	// the log holds txn 2 alone, from slot 0.
+	if home := devBlock(t, rd, 10); home[0] != 0x11 {
+		t.Fatalf("home byte = %#x, want txn 1's 0x11", home[0])
+	}
+	if _, count, homes := header(t, rd); count != 4 || homes[0] != 10 {
+		t.Fatalf("header = %d %v, want txn 2's four blocks from slot 0", count, homes)
+	}
+	if err := j.Checkpoint(nil); err != nil {
+		t.Fatal(err)
+	}
+	if home := devBlock(t, rd, 10); home[0] != 0x22 {
+		t.Fatalf("home byte = %#x, want txn 2's 0x22 after checkpoint", home[0])
+	}
+}
+
+// TestRevokeUntilLogEmpty pins the revoke rule: a freed block stays
+// quarantined while a logged transaction names it — until the checkpoint
+// empties the log — while a freed block the log never named is reusable
+// as soon as its freeing transaction commits.
+func TestRevokeUntilLogEmpty(t *testing.T) {
+	j, bc, _ := newJournal(t, 16)
+	record(t, j, bc, 50, 0xD1) // a directory block, now in the log
+
+	j.Begin(nil)
+	j.Revoke(50)              // the directory is removed...
+	j.Revoke(70)              // ...along with a data block the log never held
+	b, err := bc.Get(nil, 60) // the bitmap block recording both frees
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := j.Record(nil, b); err != nil {
 		t.Fatal(err)
 	}
 	bc.Release(b)
+	if !j.Revoked(50) || !j.Revoked(70) {
+		t.Fatal("blocks freed by the open batch are reusable before it commits")
+	}
 	if err := j.End(nil); err != nil {
 		t.Fatal(err)
 	}
+	if !j.Revoked(50) {
+		t.Fatal("freed block reusable while a logged transaction still names it")
+	}
+	if j.Revoked(70) {
+		t.Fatal("freed block the log never named still quarantined after commit")
+	}
+	if err := j.Checkpoint(nil); err != nil {
+		t.Fatal(err)
+	}
+	if j.Revoked(50) {
+		t.Fatal("freed block still quarantined after the checkpoint emptied the log")
+	}
+}
 
-	// Txn 2's commit had to checkpoint txn 1 first, and the cache buffer
-	// already held txn 2's bytes — so txn 1's copy came from the log.
-	s := j.Stats()
-	if s.Installs != 1 {
-		t.Fatalf("installs = %d, want 1", s.Installs)
+// TestStatsDuringCommits reads Stats while commits run; under -race it
+// pins that the counters are safe to snapshot at any time.
+func TestStatsDuringCommits(t *testing.T) {
+	j, bc, _ := newJournal(t, 8)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			if s := j.Stats(); s.Checkpoints > s.Commits {
+				t.Errorf("more checkpoints than commits: %+v", s)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		record(t, j, bc, 10+i%20, byte(i))
 	}
-	if s.Commits != 2 {
-		t.Fatalf("commits = %d, want 2", s.Commits)
-	}
-	// At this instant the durable home holds exactly txn 1's content:
-	// txn 2 is committed in the log but not yet checkpointed.
-	if home := devBlock(t, rd, 10); home[0] != 0x11 {
-		t.Fatalf("home byte = %#x, want txn 1's 0x11", home[0])
-	}
-	j.Checkpoint(nil)
-	if home := devBlock(t, rd, 10); home[0] != 0x22 {
-		t.Fatalf("home byte = %#x, want txn 2's 0x22 after checkpoint", home[0])
+	close(stop)
+	<-done
+	if s := j.Stats(); s.Commits != 200 {
+		t.Fatalf("commits = %d, want 200", s.Commits)
 	}
 }
 
@@ -292,12 +416,7 @@ func TestSyncIsABarrier(t *testing.T) {
 	}
 	// Sync does not force the checkpoint — the log may still own the
 	// bytes — but log-or-home, the content must be recoverable.
-	bc2 := bcache.NewWithOptions(rd, bcache.Options{
-		Buffers: 64, Shards: 4, Readahead: -1,
-		FlushInterval: time.Hour, WritebackRatio: -1,
-	})
-	j2 := jnl.New(bc2, logStart, 8)
-	if _, err := j2.Recover(nil); err != nil {
+	if _, err := remount(rd, 64, 8).Recover(nil); err != nil {
 		t.Fatal(err)
 	}
 	want := bytes.Repeat([]byte{0x77}, blockSize)

@@ -118,18 +118,23 @@ func NewSemaphore(initial int) *Semaphore {
 	return &Semaphore{count: initial}
 }
 
-// Wait (P) decrements; the task sleeps while the count is zero.
+// Wait (P) decrements; the task sleeps while the count is zero. The
+// sleep registers on the wait queue before its final count check, so a
+// Post landing between the check and the sleep cannot be lost, and it
+// stays killable: Wait is a syscall. A waiter killed after a Post chose
+// it passes the wake on, so the count never sits above zero with tasks
+// still asleep.
 func (s *Semaphore) Wait(t *sched.Task) {
-	for {
-		s.mu.Lock()
-		if s.count > 0 {
-			s.count--
-			s.mu.Unlock()
-			return
+	acquired := false
+	defer func() {
+		if !acquired && s.Value() > 0 {
+			s.wq.WakeOne()
 		}
-		s.mu.Unlock()
-		s.wq.Sleep(t)
+	}()
+	for !s.TryWait() {
+		s.wq.SleepUnlessKillable(t, func() bool { return s.Value() > 0 })
 	}
+	acquired = true
 }
 
 // TryWait decrements without blocking; reports success.
@@ -163,13 +168,22 @@ func (s *Semaphore) Value() int {
 // the lock, and (since the per-inode locking refactor) by the filesystems'
 // inode, pseudo-inode, allocator and rename locks.
 //
+// The uncontended paths are one CAS each on an atomic state word, the
+// futex fast path: Lock swaps free→held, Unlock swaps held→free and
+// touches the wait queue only when a waiter has announced itself. A
+// contended Lock counts itself a waiter, then sleeps through
+// WaitQueue.SleepUnless, which registers it before re-checking the state
+// word — so an Unlock that lands in between either sees the waiter count
+// and wakes it, or the re-check sees the lock free. Like RWSleepLock, the
+// wait is uninterruptible: a kill takes effect at the task's next
+// killable checkpoint, never from inside the acquisition.
+//
 // A SleepLock may carry a Rank (SetRank); ranked locks participate in the
 // debug lock-order assertion when SetRankCheck(true) is active.
 type SleepLock struct {
-	mu     sync.Mutex
-	locked bool
-	holder int
-	wq     sched.WaitQueue
+	state   atomic.Int32 // sleepFree or sleepHeld
+	waiters atomic.Int32 // tasks between announcing a wait and leaving it
+	wq      sched.WaitQueue
 
 	// Rank metadata for the debug lock-order checker. Written by SetRank
 	// while the lock is free and externally unreachable or quiescent
@@ -190,51 +204,52 @@ func (l *SleepLock) Lock(t *sched.Task) { l.lock(t, false) }
 // (always ancestor before descendant) rather than a total lock order.
 func (l *SleepLock) LockNested(t *sched.Task) { l.lock(t, true) }
 
+// SleepLock state-word values.
+const (
+	sleepFree int32 = iota
+	sleepHeld
+)
+
 func (l *SleepLock) lock(t *sched.Task, nested bool) {
 	if l.rank != RankNone && rankCheckOn.Load() {
 		rankCheckAcquire(l, nested)
 	}
-	for {
-		l.mu.Lock()
-		if !l.locked {
-			l.locked = true
-			if t != nil {
-				l.holder = t.ID
-			}
-			l.mu.Unlock()
-			return
-		}
-		l.mu.Unlock()
-		if t != nil {
-			l.wq.Sleep(t)
-		} else {
+	if l.state.CompareAndSwap(sleepFree, sleepHeld) {
+		return
+	}
+	l.lockSlow(t)
+}
+
+// lockSlow is the contended acquisition: retry the CAS, sleeping between
+// attempts (nil tasks spin-yield and never announce themselves, since no
+// Unlock needs to wake them).
+func (l *SleepLock) lockSlow(t *sched.Task) {
+	for !l.state.CompareAndSwap(sleepFree, sleepHeld) {
+		if t == nil {
 			runtime.Gosched()
+			continue
 		}
+		l.waiters.Add(1)
+		l.wq.SleepUnless(t, func() bool { return l.state.Load() == sleepFree })
+		l.waiters.Add(-1)
 	}
 }
 
-// Unlock releases and wakes one waiter.
+// Unlock releases and, if any task is waiting, wakes one.
 func (l *SleepLock) Unlock() {
 	if l.rank != RankNone && rankCheckOn.Load() {
 		rankCheckRelease(l)
 	}
-	l.mu.Lock()
-	if !l.locked {
-		l.mu.Unlock()
+	if !l.state.CompareAndSwap(sleepHeld, sleepFree) {
 		panic("ksync: unlock of unlocked sleeplock")
 	}
-	l.locked = false
-	l.holder = 0
-	l.mu.Unlock()
-	l.wq.WakeOne()
+	if l.waiters.Load() != 0 {
+		l.wq.WakeOne()
+	}
 }
 
 // Held reports whether the lock is taken (diagnostics).
-func (l *SleepLock) Held() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.locked
-}
+func (l *SleepLock) Held() bool { return l.state.Load() == sleepHeld }
 
 // RWSleepLock is a reader-writer sleeplock: any number of concurrent
 // readers, or one writer. Waiters sleep on the scheduler via

@@ -62,6 +62,7 @@ type conn struct {
 	finSent   bool   // FIN transmitted and not rewound by a retransmit
 	finAcked  bool
 	finWire   uint64 // wire sequence the FIN occupies (sndEnd+1 at queue time)
+	probe     bool   // the next data segment is a persist probe past a closed window
 
 	// Receive side. Ring holds [rcvRead, rcvWr).
 	rcvBuf  []byte
@@ -175,13 +176,27 @@ func (c *conn) cancelRTOLocked() {
 	}
 }
 
-// outstandingLocked reports whether unacknowledged wire state exists.
+// outstandingLocked reports whether the retransmit timer has work: wire
+// state awaiting acknowledgement, or data queued behind a closed peer
+// window (the persist timer's case).
 func (c *conn) outstandingLocked() bool {
-	return c.synSent || c.sndNxt > c.sndUna || (c.finSent && !c.finAcked)
+	return c.synSent || c.sndNxt > c.sndUna || (c.finSent && !c.finAcked) ||
+		c.windowClosedLocked()
+}
+
+// windowClosedLocked reports data queued that the peer's window does not
+// admit. The window update that would reopen it is a pure ACK, which
+// nothing retransmits, so the sender must probe or risk waiting forever.
+func (c *conn) windowClosedLocked() bool {
+	return c.sndNxt < c.sndEnd && c.sndNxt+1 >= c.sndLimit
 }
 
 // onRTO fires on the timer goroutine: go back to the last acknowledged
-// byte and replay. SYNs are replayed in place (handshake retransmit).
+// byte and replay. SYNs are replayed in place (handshake retransmit). With
+// nothing in flight and the peer's window closed, it is the persist
+// timer instead: the replay is a one-byte probe past the window edge,
+// which the peer either accepts (its window update was lost) or drops
+// and answers with its current window.
 func (c *conn) onRTO() {
 	c.mu.Lock()
 	c.rtoCancel = nil
@@ -189,17 +204,22 @@ func (c *conn) onRTO() {
 		c.mu.Unlock()
 		return
 	}
-	c.retrans++
-	c.stack.retrans.Add(1)
 	if c.synSent {
+		c.retrans++
+		c.stack.retrans.Add(1)
 		g := c.synSegLocked()
 		c.armRTOLocked()
 		c.mu.Unlock()
 		c.stack.emit(nil, g)
 		return
 	}
+	if c.sndNxt > c.sndUna || (c.finSent && !c.finAcked) {
+		c.retrans++
+		c.stack.retrans.Add(1)
+	}
 	c.sndNxt = c.sndUna
 	c.finSent = false
+	c.probe = c.windowClosedLocked()
 	c.armRTOLocked()
 	c.mu.Unlock()
 	c.pump(nil)
@@ -227,14 +247,14 @@ func (c *conn) pump(t *sched.Task) {
 		wireNxt := c.sndNxt + 1
 		var frame []byte
 		switch {
-		case c.sndNxt < c.sndEnd && wireNxt < c.sndLimit:
-			l := uint64(MSS)
-			if d := c.sndEnd - c.sndNxt; d < l {
-				l = d
+		case c.sndNxt < c.sndEnd && (wireNxt < c.sndLimit || c.probe):
+			l := min(uint64(MSS), c.sndEnd-c.sndNxt)
+			if wireNxt < c.sndLimit {
+				l = min(l, c.sndLimit-wireNxt)
+			} else {
+				l = 1 // persist probe
 			}
-			if d := c.sndLimit - wireNxt; d < l {
-				l = d
-			}
+			c.probe = false
 			frame = c.stack.framePool.Get()
 			ringGet(c.sndBuf, c.sndNxt, frame[HdrSize:HdrSize+l])
 			g := seg{
@@ -267,6 +287,10 @@ func (c *conn) pump(t *sched.Task) {
 			frame = nil
 		}
 		if frame == nil {
+			// Data held back by a closed window arms the persist timer.
+			if c.windowClosedLocked() {
+				c.armRTOLocked()
+			}
 			// Nothing sendable right now; one more pass if someone asked
 			// for a repump while we were off submitting.
 			if c.repump {
@@ -377,6 +401,13 @@ func (c *conn) handleSeg(g seg) (emits []seg, pumpNeeded, reap bool) {
 				wakeWriters = true
 				pumpNeeded = true
 			}
+		}
+		// A persist probe past the window edge that this ACK does not
+		// cover was refused for want of room, not lost: rewind over it, so
+		// the persist timer sends the next probe rather than go-back-N
+		// counting a retransmission.
+		if edge := c.sndLimit - 1; c.sndNxt > edge && edge >= c.sndUna {
+			c.sndNxt = edge
 		}
 		// Re-shape the retransmit clock around what is still in flight.
 		c.cancelRTOLocked()

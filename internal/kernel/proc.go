@@ -342,8 +342,17 @@ func (p *Proc) SysWait() (pid, status int, err error) {
 			return -1, 0, ErrNoKids
 		}
 		p.mu.Unlock()
-		p.childWQ.Sleep(p.Task)
+		p.childWQ.SleepUnlessKillable(p.Task, p.waitable)
 	}
+}
+
+// waitable reports a zombie to reap or no children left — SysWait's wait
+// condition, re-checked once the parent is registered, so a child exiting
+// in between cannot be missed.
+func (p *Proc) waitable() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.zombies) > 0 || len(p.children) == 0
 }
 
 // SysKill condemns a process by pid.

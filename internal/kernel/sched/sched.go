@@ -195,12 +195,23 @@ func (s *Scheduler) enqueue(t *Task) {
 
 // wake transitions a sleeping task to runnable; if the task has not
 // finished blocking yet the wake is latched in wakePending.
+//
+// The latch can land too late: the task may mark itself sleeping and
+// check wakePending between this wake's failed CAS and its Store. So when
+// the task is found asleep after latching, the wake takes the latch back
+// and retries the hand-off — unless the task consumed it first, in which
+// case it never blocked.
 func (s *Scheduler) wake(t *Task) {
-	if t.state.CompareAndSwap(int32(StateSleeping), int32(StateRunnable)) {
-		s.enqueue(t)
-		return
+	for {
+		if t.state.CompareAndSwap(int32(StateSleeping), int32(StateRunnable)) {
+			s.enqueue(t)
+			return
+		}
+		t.wakePending.Store(true)
+		if t.state.Load() != int32(StateSleeping) || !t.wakePending.CompareAndSwap(true, false) {
+			return
+		}
 	}
-	t.wakePending.Store(true)
 }
 
 // Wake makes a sleeping task runnable (exported for wait queues and IRQ

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -253,6 +254,60 @@ func TestLostWakeupAbsorbed(t *testing.T) {
 			t.Fatalf("iteration %d: lost wakeup", i)
 		}
 	}
+}
+
+// TestConcurrentWakesHandOffOnce races many wakers against many sleepers
+// on two host threads. Each task bumps a shared tick, wakes everyone, then
+// sleeps until somebody else ticks — so a task is often woken by two
+// wakers at once, while it is still on its way to sleep. Both hazards of
+// that moment must be closed: a wake latched just after the task checked
+// the latch is lost, leaving the task asleep with nobody left to wake it;
+// and a latched wake consumed after another waker already queued the task
+// lets it keep running while a second core waits forever to dispatch it,
+// which wedges Shutdown.
+func TestConcurrentWakesHandOffOnce(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	s := New(Config{Cores: 4, Mode: RunqueueGlobal})
+	s.Start()
+	const tasks, rounds = 5, 2000
+	var wq WaitQueue
+	var tick, finished atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < tasks; i++ {
+		wg.Add(1)
+		s.Go("waker", 0, func(t *Task) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				seen := tick.Add(1)
+				wq.WakeAll()
+				wq.SleepUnless(t, func() bool {
+					return tick.Load() != seen || finished.Load() == tasks-1
+				})
+			}
+			finished.Add(1)
+			wq.WakeAll()
+		})
+	}
+	within := func(what string, fn func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			fn()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s wedged", what)
+		}
+	}
+	within("tasks (a wake was lost)", wg.Wait)
+	within("shutdown (a core is stuck dispatching a task that never blocked)", func() {
+		if err := s.Shutdown(5 * time.Second); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
 }
 
 func TestKillSleepingTask(t *testing.T) {

@@ -186,15 +186,7 @@ func (t *Task) exitIfKilled() {
 // sleep lock) is absorbed by wakePending; consumers of WaitQueue therefore
 // re-check their condition in a loop, condition-variable style.
 func (t *Task) block() {
-	t.state.Store(int32(StateSleeping))
-	if t.wakePending.CompareAndSwap(true, false) {
-		t.state.Store(int32(StateRunning))
-		t.exitIfKilled()
-		return
-	}
-	t.chargeCPU()
-	t.release <- releaseBlocked
-	<-t.grant
+	t.blockNoKill()
 	t.exitIfKilled()
 }
 
@@ -203,10 +195,15 @@ func (t *Task) block() {
 // (the caller re-checks its condition and, not being unwound, eventually
 // reaches a killable checkpoint); the task just never unwinds while a
 // caller up-stack holds locks across an IO wait.
+//
+// A latched wake cancels the block only while the task is still marked
+// sleeping: a second waker may already have made it runnable and queued
+// it, and then a core will grant it, so it must release this core first
+// or two cores would dispatch it at once.
 func (t *Task) blockNoKill() {
 	t.state.Store(int32(StateSleeping))
-	if t.wakePending.CompareAndSwap(true, false) {
-		t.state.Store(int32(StateRunning))
+	if t.wakePending.CompareAndSwap(true, false) &&
+		t.state.CompareAndSwap(int32(StateSleeping), int32(StateRunning)) {
 		return
 	}
 	t.chargeCPU()

@@ -77,6 +77,15 @@ func (wq *WaitQueue) SleepUnless(t *Task, done func() bool) {
 	wq.remove(t)
 }
 
+// SleepUnlessKillable is SleepUnless as an interruptible sleep, for waits
+// a syscall may abandon (a semaphore P): a killed task unwinds on entry
+// and again after the wake, once it is off the waiter list.
+func (wq *WaitQueue) SleepUnlessKillable(t *Task, done func() bool) {
+	t.exitIfKilled()
+	wq.SleepUnless(t, done)
+	t.exitIfKilled()
+}
+
 // WakeOne wakes the longest-waiting task, if any. Returns true if a task
 // was woken.
 func (wq *WaitQueue) WakeOne() bool {

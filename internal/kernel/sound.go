@@ -79,9 +79,18 @@ func (sd *soundDev) write(t *sched.Task, p []byte) (int, error) {
 			continue
 		}
 		sd.mu.Unlock()
-		sd.wq.Sleep(t) // back-pressure: the §4.4 pipeline in action
+		// Back-pressure: the §4.4 pipeline in action.
+		sd.wq.SleepUnlessKillable(t, sd.writable)
 	}
 	return written, nil
+}
+
+// writable reports room in the ring or a stopped device — write's wait
+// condition, re-checked once the writer is registered.
+func (sd *soundDev) writable() bool {
+	sd.mu.Lock()
+	defer sd.mu.Unlock()
+	return len(sd.ring) < soundRingCap || sd.stopped
 }
 
 // kickLocked starts a DMA transfer if the engine is idle and samples wait.
@@ -122,15 +131,17 @@ func (sd *soundDev) dmaComplete() {
 
 // drain blocks until all staged samples have been handed to the hardware.
 func (sd *soundDev) drain(t *sched.Task) {
-	for {
-		sd.mu.Lock()
-		done := (len(sd.ring) == 0 && !sd.dmaBusy) || sd.stopped
-		sd.mu.Unlock()
-		if done {
-			return
-		}
-		sd.dwq.Sleep(t)
+	for !sd.drained() {
+		sd.dwq.SleepUnlessKillable(t, sd.drained)
 	}
+}
+
+// drained reports an empty ring with the DMA engine idle, or a stopped
+// device — drain's wait condition.
+func (sd *soundDev) drained() bool {
+	sd.mu.Lock()
+	defer sd.mu.Unlock()
+	return (len(sd.ring) == 0 && !sd.dmaBusy) || sd.stopped
 }
 
 // pending reports staged bytes (diagnostics).

@@ -204,8 +204,16 @@ func (s *Surface) PopEvent(t *sched.Task, block bool) (InputEvent, bool) {
 		if !block || closed {
 			return InputEvent{}, false
 		}
-		s.eventsWQ.Sleep(t)
+		s.eventsWQ.SleepUnlessKillable(t, s.readable)
 	}
+}
+
+// readable reports a queued event or a closed surface — PopEvent's wait
+// condition, re-checked once the reader is registered.
+func (s *Surface) readable() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.events) > 0 || s.closed
 }
 
 // Close removes the surface from the compositor.

@@ -1,6 +1,8 @@
 package xv6fs
 
 import (
+	"errors"
+
 	"protosim/internal/kernel/errseq"
 	"protosim/internal/kernel/fs"
 	"protosim/internal/kernel/sched"
@@ -21,7 +23,15 @@ type file struct {
 }
 
 // Open implements fs.FileSystem.
-func (f *FS) Open(t *sched.Task, path string, flags int) (_ fs.FileOps, err error) {
+func (f *FS) Open(t *sched.Task, path string, flags int) (fs.FileOps, error) {
+	ops, err := f.open(t, path, flags)
+	if errors.Is(err, errOnlyRevoked) && f.liftRevokes(t) {
+		ops, err = f.open(t, path, flags)
+	}
+	return ops, err
+}
+
+func (f *FS) open(t *sched.Task, path string, flags int) (_ fs.FileOps, err error) {
 	// A latched-read-only mount refuses opens that could mutate; plain
 	// read opens stay available (the data that did land is still there).
 	if flags&(fs.OCreate|fs.OTrunc|fs.OWrOnly|fs.ORdWr) != 0 {
@@ -158,7 +168,15 @@ func (f *FS) create(t *sched.Task, path string, typ uint16, existOK bool) (*inod
 }
 
 // Mkdir implements fs.FileSystem.
-func (f *FS) Mkdir(t *sched.Task, path string) (err error) {
+func (f *FS) Mkdir(t *sched.Task, path string) error {
+	err := f.mkdir(t, path)
+	if errors.Is(err, errOnlyRevoked) && f.liftRevokes(t) {
+		err = f.mkdir(t, path)
+	}
+	return err
+}
+
+func (f *FS) mkdir(t *sched.Task, path string) (err error) {
 	if err := f.checkRW(); err != nil {
 		return err
 	}
@@ -274,7 +292,15 @@ func (f *FS) Unlink(t *sched.Task, path string) (err error) {
 // ancestor-first ordering closes every cycle. The moved and displaced
 // inodes are locked nested under the directories; holders of a single
 // file lock never acquire a second, so the pair cannot cycle either.
-func (f *FS) Rename(t *sched.Task, oldPath, newPath string) (err error) {
+func (f *FS) Rename(t *sched.Task, oldPath, newPath string) error {
+	err := f.rename(t, oldPath, newPath)
+	if errors.Is(err, errOnlyRevoked) && f.liftRevokes(t) {
+		err = f.rename(t, oldPath, newPath)
+	}
+	return err
+}
+
+func (f *FS) rename(t *sched.Task, oldPath, newPath string) (err error) {
 	if err := f.checkRW(); err != nil {
 		return err
 	}
@@ -591,7 +617,17 @@ func (fl *file) Pread(t *sched.Task, p []byte, off int64) (int, error) {
 // fs.OffAppend, at EOF resolved under the same inode lock as the write
 // itself, which is what makes O_APPEND atomic across any number of
 // concurrent appenders.
-func (fl *file) Pwrite(t *sched.Task, p []byte, off int64) (_ int, _ int64, err error) {
+func (fl *file) Pwrite(t *sched.Task, p []byte, off int64) (int, int64, error) {
+	n, end, err := fl.pwrite(t, p, off)
+	if errors.Is(err, errOnlyRevoked) && fl.fsys.liftRevokes(t) {
+		var m int
+		m, end, err = fl.pwrite(t, p[n:], end)
+		n += m
+	}
+	return n, end, err
+}
+
+func (fl *file) pwrite(t *sched.Task, p []byte, off int64) (_ int, _ int64, err error) {
 	// The bracket covers the allocations (bitmap, indirect) and the size
 	// update this write may make; file DATA itself is not journaled —
 	// metadata journaling, like ext4's default — so a crash can lose

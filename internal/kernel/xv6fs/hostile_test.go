@@ -104,6 +104,18 @@ func TestMountRejectsHostileLogHeader(t *testing.T) {
 			t.Fatalf("Mount = %v, want ErrBadLog", err)
 		}
 	})
+	t.Run("count one past the region", func(t *testing.T) {
+		// Within the header's capacity, so only the region bound refuses it.
+		rd := mk(t)
+		homes := make([]uint32, DefaultLogBlocks)
+		for i := range homes {
+			homes[i] = uint32(200 + i)
+		}
+		hostileLogHeader(t, rd, DefaultLogBlocks, homes...)
+		if _, err := Mount(rd, nil); !errors.Is(err, jnl.ErrBadLog) {
+			t.Fatalf("Mount = %v, want ErrBadLog", err)
+		}
+	})
 	t.Run("home beyond device", func(t *testing.T) {
 		rd := mk(t)
 		hostileLogHeader(t, rd, 1, 0xFFFFFF00)

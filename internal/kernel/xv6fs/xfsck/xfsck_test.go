@@ -239,14 +239,14 @@ func TestJournalOverlay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// An unlink whose transaction commits (Sync) but is never
-	// checkpointed: with the journal header intact the image is
-	// consistent via replay; without it, the home copies are a
-	// half-applied transaction.
+	// An unlink whose transaction commits (the journal's Sync) but is
+	// never checkpointed — the volume's Sync would checkpoint it: with
+	// the journal header intact the image is consistent via replay;
+	// without it, the home copies are a half-applied transaction.
 	if err := fsys.Unlink(nil, "/a.txt"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fsys.Sync(nil); err != nil {
+	if err := fsys.Journal().Sync(nil); err != nil {
 		t.Fatal(err)
 	}
 	rep := check(t, rd, xfsck.Strict)

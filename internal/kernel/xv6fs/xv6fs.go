@@ -79,6 +79,12 @@ const (
 // ErrBadFS reports a corrupt or foreign superblock.
 var ErrBadFS = errors.New("xv6fs: bad superblock")
 
+// errOnlyRevoked is allocBlock's ErrNoSpace when free blocks remain but the
+// journal still revokes every one of them. The allocating entry points
+// (Open, Mkdir, Rename, Pwrite) close their bracket, drain the log with
+// liftRevokes and retry once.
+var errOnlyRevoked = fmt.Errorf("%w: every free block is revoked", fs.ErrNoSpace)
+
 // Superblock mirrors the on-disk layout header. LogStart/LogSize describe
 // the write-ahead log region; a zero LogSize is a legacy unjournaled image
 // (pre-journal superblocks left those bytes zero) and mounts without one.
@@ -237,17 +243,6 @@ type FS struct {
 	degraded atomic.Bool
 	roFlag   atomic.Bool
 	roCause  atomic.Value // error
-
-	// recentlyFreed guards against the metadata-journaling reuse hazard: a
-	// block freed inside the OPEN (uncommitted) transaction must not be
-	// reallocated — file data written into it is not journaled, so the
-	// write-behind daemon could land that data in a block the on-disk
-	// (pre-commit) metadata still considers live, and a crash before
-	// commit would corrupt the old owner. freeBlock adds entries, the
-	// allocBlock scan skips them, and the journal's commit hook clears the
-	// set (once the free is durable the block is genuinely reusable).
-	freedMu       sync.Mutex
-	recentlyFreed map[int]bool
 }
 
 // inode is an in-memory inode: the per-file lock the whole filesystem
@@ -315,16 +310,8 @@ func MountWith(dev fs.BlockDevice, t *sched.Task, copts bcache.Options) (*FS, er
 	}
 	if f.sb.LogSize > 0 {
 		f.log = jnl.New(f.bc, int(f.sb.LogStart), int(f.sb.LogSize))
-		f.recentlyFreed = make(map[int]bool)
-		f.log.OnCommit(func() {
-			f.freedMu.Lock()
-			for lba := range f.recentlyFreed {
-				delete(f.recentlyFreed, lba)
-			}
-			f.freedMu.Unlock()
-		})
 		// Recovery before anything reads metadata: replay the committed
-		// transaction the crash interrupted (if the header names one),
+		// transactions the log still holds (if the header names any),
 		// then reclaim orphans — files that were unlinked-but-open at the
 		// crash, durable with no directory entry left.
 		if _, err := f.log.Recover(t); err != nil {
@@ -335,8 +322,9 @@ func MountWith(dev fs.BlockDevice, t *sched.Task, copts bcache.Options) (*FS, er
 		}
 		// Checkpoint on kflushd idle: committed transactions drain to
 		// their home blocks during quiet periods, off commit's critical
-		// path. Mount precedes the daemon, so the hook is set in time.
-		f.bc.SetIdleHook(func(ht *sched.Task) { f.log.Checkpoint(ht) })
+		// path (a failure is latched for the next Sync). Mount precedes
+		// the daemon, so the hook is set in time.
+		f.bc.SetIdleHook(func(ht *sched.Task) { _ = f.log.Checkpoint(ht) })
 	}
 	return f, nil
 }
@@ -379,6 +367,22 @@ func (f *FS) dcFillNeg(dp *inode, name string) {
 		return
 	}
 	f.dc.PutNegative(int64(dp.inum), name)
+}
+
+// liftRevokes commits the open batch and checkpoints the log, so every
+// revoked block becomes allocatable again. An entry point whose operation
+// failed with errOnlyRevoked calls it after closing its bracket and, on
+// true, retries the operation once. A failed drain latches the mount
+// read-only, as a failed fsync barrier does.
+func (f *FS) liftRevokes(t *sched.Task) bool {
+	if f.log == nil {
+		return false
+	}
+	if err := f.log.Drain(t); err != nil {
+		f.remountRO(err)
+		return false
+	}
+	return true
 }
 
 // remountRO latches the volume read-only, keeping the first cause. Called
@@ -749,14 +753,17 @@ func (f *FS) writeMeta(t *sched.Task, lba int, fn func(data []byte)) error {
 // allocBlock finds a zero bit in the bitmap, sets it, zeroes the block.
 // The scan-and-claim runs under balloc so two writers can't claim the same
 // block; the zeroing write happens after the claim, outside any allocator
-// state, because the block is already private to the caller. Blocks freed
-// inside the open transaction are skipped (see recentlyFreed); the zeroing
-// write is deliberately NOT journaled — the block is unreachable from any
-// committed metadata until this transaction's pointers to it commit, so a
-// premature writeback of zeros can only land in a dead block.
+// state, because the block is already private to the caller. Blocks the
+// journal still revokes are skipped (see jnl.Revoke): reusing one for
+// unjournaled file data could let replay write stale metadata over it. If
+// they were the only free ones, the error is errOnlyRevoked.
+// The zeroing write is deliberately NOT journaled — the block is
+// unreachable from any committed metadata until this transaction's
+// pointers to it commit, so a premature writeback of zeros can only land
+// in a dead block.
 func (f *FS) allocBlock(t *sched.Task) (int, error) {
 	f.balloc.Lock(t)
-	found := -1
+	found, revoked := -1, false
 	total := int(f.sb.Size)
 	for bmBlock := 0; found < 0 && bmBlock*BlockSize*8 < total; bmBlock++ {
 		err := f.writeMeta(t, int(f.sb.BitmapStart)+bmBlock, func(data []byte) {
@@ -769,8 +776,9 @@ func (f *FS) allocBlock(t *sched.Task) (int, error) {
 					continue // metadata blocks are permanently "allocated"
 				}
 				if data[i/8]&(1<<(i%8)) == 0 {
-					if f.log != nil && f.isRecentlyFreed(blockNo) {
-						continue // freed in the open txn: not reusable yet
+					if f.log != nil && f.log.Revoked(blockNo) {
+						revoked = true
+						continue // freed, but a logged txn may replay over it
 					}
 					data[i/8] |= 1 << (i % 8)
 					found = blockNo
@@ -785,6 +793,9 @@ func (f *FS) allocBlock(t *sched.Task) (int, error) {
 	}
 	f.balloc.Unlock()
 	if found < 0 {
+		if revoked {
+			return 0, errOnlyRevoked
+		}
 		return 0, fs.ErrNoSpace
 	}
 	if err := f.writeBlock(t, found, func(d []byte) {
@@ -797,24 +808,14 @@ func (f *FS) allocBlock(t *sched.Task) (int, error) {
 	return found, nil
 }
 
-// isRecentlyFreed reports whether lba was freed inside the open
-// (uncommitted) transaction batch.
-func (f *FS) isRecentlyFreed(lba int) bool {
-	f.freedMu.Lock()
-	defer f.freedMu.Unlock()
-	return f.recentlyFreed[lba]
-}
-
 // freeBlock clears the bitmap bit for lba. On a journaled mount the block
-// is also quarantined from reallocation until the freeing transaction
-// commits.
+// is also revoked: quarantined from reallocation until the freeing
+// transaction commits and no logged transaction still names it.
 func (f *FS) freeBlock(t *sched.Task, lba int) error {
 	f.balloc.Lock(t)
 	defer f.balloc.Unlock()
 	if f.log != nil {
-		f.freedMu.Lock()
-		f.recentlyFreed[lba] = true
-		f.freedMu.Unlock()
+		f.log.Revoke(lba)
 	}
 	bmBlock := lba / (BlockSize * 8)
 	bit := lba % (BlockSize * 8)
@@ -1106,8 +1107,10 @@ func (f *FS) truncate(t *sched.Task, ip *inode) error {
 // deadlock against parent→child holders — then quiesces both allocators
 // across the cache's Flush barrier, so the bitmap and inode array flush
 // as a consistent snapshot and every dirty buffer's write completion is
-// awaited. Asynchronous writeback errors (the kflushd daemon, eviction)
-// latched since the previous sync are reported to this caller.
+// awaited. A quiet journal is then checkpointed, so a volume synced at
+// rest carries an empty log. Asynchronous writeback errors (the kflushd
+// daemon, eviction) latched since the previous sync are reported to this
+// caller.
 func (f *FS) Sync(t *sched.Task) error {
 	f.imu.Lock()
 	live := make([]*inode, 0, len(f.itable))
@@ -1146,5 +1149,17 @@ func (f *FS) Sync(t *sched.Task) error {
 	if logErr != nil {
 		return logErr
 	}
-	return err
+	if err != nil {
+		return err
+	}
+	// The flush left every committed block durable at home, so emptying
+	// the log costs one header write: a cleanly synced image carries an
+	// empty log.
+	if f.log != nil {
+		if err := f.log.Checkpoint(t); err != nil {
+			f.remountRO(err)
+			return err
+		}
+	}
+	return nil
 }

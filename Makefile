@@ -27,7 +27,9 @@ vet:
 lint:
 	$(GO) run ./cmd/lintdoc internal/kernel/blkq internal/kernel/bcache \
 		internal/kernel/fs internal/kernel/errseq internal/kernel/uring \
-		internal/kernel/dcache internal/kernel/net internal/kernel/bufpool
+		internal/kernel/dcache internal/kernel/net internal/kernel/bufpool \
+		internal/kernel/ktime internal/kernel/jnl internal/kernel/sched \
+		internal/kernel/ksync
 
 # Lookup-vs-mutation torture: concurrent walkers on the dentry cache's
 # lock-free fast path against create/unlink/rename/rmdir mutators, on

@@ -15,6 +15,7 @@ import (
 
 	"protosim/internal/core"
 	"protosim/internal/kernel"
+	"protosim/internal/kernel/ktime"
 	"protosim/internal/kernel/net"
 	"protosim/internal/user/apps/chanserv"
 	"protosim/internal/user/ulib"
@@ -89,9 +90,7 @@ func main() {
 	// The peer stack is "the rest of the network": a host-side net.Stack
 	// on the far NIC of the link, no kernel underneath it.
 	peer := net.NewStack("peer0", kernel.NetPeerHost, sys.Machine.PeerNIC, net.Options{
-		After: func(d time.Duration, fn func()) func() bool {
-			return time.AfterFunc(d, fn).Stop
-		},
+		After: ktime.HostAfter,
 	})
 	sys.Machine.PeerNIC.SetNotify(peer.IRQ)
 	defer peer.Close()

@@ -10,7 +10,7 @@
 //
 // Options is the tuning surface experiments and benchmarks share: the
 // prototype and kernel mode (proto/xv6/prod baselines for Fig 9), core
-// count, memory, framebuffer geometry, SD asset scale, and the sharded
-// buffer cache's shard/buffer counts (CacheShards, CacheBuffers) that
-// both filesystems mount over.
+// count, memory, framebuffer geometry and SD asset scale. The storage
+// stack (buffer caches, request queues) runs on its package defaults;
+// Mode is the only switch that changes it.
 package core

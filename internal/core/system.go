@@ -37,29 +37,6 @@ type Options struct {
 	// (multi-MB WAD, 480p clip), 0 or larger divisors = smaller/faster.
 	AssetScale int
 
-	// CacheShards and CacheBuffers size the sharded buffer cache both
-	// filesystems mount over (0 = bcache defaults). More shards cut lock
-	// contention under multicore IO; more buffers keep a bigger working
-	// set — DOOM's WAD, the FAT — out of the SD card's latency path.
-	CacheShards  int
-	CacheBuffers int
-
-	// QueueDepth bounds in-flight commands in each block device's IO
-	// request queue (0 = blkq default; negative disables the queues —
-	// the synchronous baseline).
-	QueueDepth int
-
-	// WritebackRatio is the dirty-buffer percentage that wakes the
-	// write-behind flusher daemon early (0 = bcache default; negative
-	// disables the ratio trigger, leaving only the age interval).
-	WritebackRatio int
-
-	// PlugDelay is the request queues' anticipatory-plug window — how long
-	// a request arriving at an idle queue waits for mergeable company
-	// before dispatching (0 = blkq default; negative disables
-	// anticipatory plugging).
-	PlugDelay time.Duration
-
 	// WithKeyboard attaches the USB keyboard (default true from P4 on).
 	WithKeyboard *bool
 
@@ -198,27 +175,22 @@ func NewSystem(opts Options) (*System, error) {
 		rq = sched.RunqueuePerCore
 	}
 	kcfg := kernel.Config{
-		Machine:        m,
-		Cores:          cores,
-		Mode:           opts.Mode,
-		RunqueueMode:   rq,
-		TickInterval:   opts.TickInterval,
-		EnableVM:       feats.Has(FeatVM),
-		EnableFiles:    feats.Has(FeatFileAbstraction),
-		EnableFAT:      feats.Has(FeatFAT32),
-		EnableUSB:      withKbd,
-		EnableSound:    feats.Has(FeatSound),
-		EnableWM:       feats.Has(FeatWM),
-		EnableThreads:  feats.Has(FeatSyscallsThread),
-		EnableNet:      opts.EnableNet,
-		EnableTrace:    true,
-		CacheShards:    opts.CacheShards,
-		CacheBuffers:   opts.CacheBuffers,
-		QueueDepth:     opts.QueueDepth,
-		WritebackRatio: opts.WritebackRatio,
-		PlugDelay:      opts.PlugDelay,
-		RamdiskImage:   ramdisk,
-		ConsoleOut:     opts.ConsoleOut,
+		Machine:       m,
+		Cores:         cores,
+		Mode:          opts.Mode,
+		RunqueueMode:  rq,
+		TickInterval:  opts.TickInterval,
+		EnableVM:      feats.Has(FeatVM),
+		EnableFiles:   feats.Has(FeatFileAbstraction),
+		EnableFAT:     feats.Has(FeatFAT32),
+		EnableUSB:     withKbd,
+		EnableSound:   feats.Has(FeatSound),
+		EnableWM:      feats.Has(FeatWM),
+		EnableThreads: feats.Has(FeatSyscallsThread),
+		EnableNet:     opts.EnableNet,
+		EnableTrace:   true,
+		RamdiskImage:  ramdisk,
+		ConsoleOut:    opts.ConsoleOut,
 	}
 	k := kernel.New(kcfg)
 	for name, fn := range programTable() {

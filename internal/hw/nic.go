@@ -185,6 +185,15 @@ func (n *NIC) PopRX() (frame []byte, ok bool) {
 	return f, true
 }
 
+// TxRoom reports whether a TX descriptor is free, so SubmitTX would not
+// refuse with ErrNICTxRingFull. A task that found the ring full sleeps
+// until this holds.
+func (n *NIC) TxRoom() bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.inflight < NICTxRing
+}
+
 // RxQueued reports frames waiting in the RX ring (diagnostics).
 func (n *NIC) RxQueued() int {
 	n.mu.Lock()

@@ -12,6 +12,7 @@ import (
 	"protosim/internal/kernel/errseq"
 	"protosim/internal/kernel/fs"
 	"protosim/internal/kernel/ksync"
+	"protosim/internal/kernel/ktime"
 	"protosim/internal/kernel/sched"
 )
 
@@ -1312,7 +1313,7 @@ func (c *Cache) WritebackErrPending() bool { return c.devErr.Pending() }
 //
 // after schedules a wakeup through the kernel's timer source (nil with a
 // nil task: host timers are used). RunDaemon returns after StopDaemon.
-func (c *Cache) RunDaemon(t *sched.Task, after func(d time.Duration, fn func()) func() bool) {
+func (c *Cache) RunDaemon(t *sched.Task, after ktime.AfterFunc) {
 	c.daemonOn.Store(true)
 	defer func() {
 		c.daemonOn.Store(false)
@@ -1347,7 +1348,7 @@ func (c *Cache) RunDaemon(t *sched.Task, after func(d time.Duration, fn func()) 
 func (c *Cache) SetIdleHook(fn func(t *sched.Task)) { c.idleHook = fn }
 
 // daemonWait sleeps until a kick, the age interval, or stop.
-func (c *Cache) daemonWait(t *sched.Task, after func(d time.Duration, fn func()) func() bool) {
+func (c *Cache) daemonWait(t *sched.Task, after ktime.AfterFunc) {
 	if c.daemonKick.Swap(false) {
 		return // kicked while flushing: go again immediately
 	}

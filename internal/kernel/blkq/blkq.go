@@ -9,6 +9,7 @@ import (
 
 	"protosim/internal/kernel/fs"
 	"protosim/internal/kernel/ksync"
+	"protosim/internal/kernel/ktime"
 	"protosim/internal/kernel/sched"
 )
 
@@ -68,20 +69,11 @@ type Options struct {
 	// anticipatory plugging — requests at an idle queue dispatch at once).
 	// See the package comment's plug-lifecycle section.
 	PlugDelay time.Duration
-	// AdaptivePlug scales the anticipatory window with the submitter's
-	// observed inter-submit gap instead of always waiting the full
-	// PlugDelay: a fast burst gets a window just big enough to catch its
-	// next request, and a submitter whose cadence is slower than the
-	// window stops opening windows at all — it would only pay the timeout
-	// without ever merging. PlugDelay remains the ceiling. Off by
-	// default: the fixed window is the PR 4 behavior.
-	AdaptivePlug bool
 	// After schedules the anticipatory plug's expiry through the caller's
-	// timer source (the kernel passes its virtual-timer set); the returned
-	// function cancels the pending callback. Nil selects host timers
-	// (time.AfterFunc). Command timeouts and retry backoff use the same
+	// timer source (the kernel passes its virtual-timer set). Nil selects
+	// ktime.HostAfter. Command timeouts and retry backoff use the same
 	// source.
-	After func(d time.Duration, fn func()) func() bool
+	After ktime.AfterFunc
 	// CmdTimeout bounds one command's time in flight before the queue
 	// abandons and retries it (0 = DefaultCmdTimeout; negative disables
 	// timeouts). Only armed on async backends — synchronous dispatch
@@ -151,19 +143,10 @@ type Queue struct {
 	// of a window that was closed (and possibly reopened) before its timer
 	// fired; antStop cancels the pending expiry, best-effort.
 	plugDelay time.Duration
-	after     func(d time.Duration, fn func()) func() bool
+	after     ktime.AfterFunc
 	antOpen   bool
 	antGen    uint64
 	antStop   func() bool
-
-	// Adaptive-plug state: an EWMA of the gap between successive submits
-	// sizes each window (ceiling plugDelay), and a window that merged at
-	// least one request (antHits > 0) expiring is a successful close, not
-	// a timeout — only zero-hit windows count as misses.
-	adaptive   bool
-	lastSubmit time.Time
-	gapEWMA    time.Duration
-	antHits    int
 
 	// Recovery state: per-command timeout/retry knobs and the dead-device
 	// latch. Once dead is set every queued and future request fast-fails
@@ -201,7 +184,6 @@ func New(dev fs.BlockDevice, opts Options) *Queue {
 		bs:        dev.BlockSize(),
 		inflight:  make(map[uint64]*command, depth),
 		plugOwner: make(map[*sched.Task]int),
-		adaptive:  opts.AdaptivePlug,
 	}
 	q.mu.SetRank(ksync.RankBlkq, 0)
 	q.pool.New = func() any {
@@ -217,9 +199,7 @@ func New(dev fs.BlockDevice, opts Options) *Queue {
 	}
 	q.after = opts.After
 	if q.after == nil {
-		q.after = func(d time.Duration, fn func()) func() bool {
-			return time.AfterFunc(d, fn).Stop
-		}
+		q.after = ktime.HostAfter
 	}
 	switch {
 	case opts.CmdTimeout == 0:
@@ -361,60 +341,14 @@ func (q *Queue) unparkPlugs(t *sched.Task, n int) {
 
 // --- the anticipatory plug ---
 
-// openAnticipationLocked starts a dispatch hold of the given length for a
+// openAnticipationLocked starts a plugDelay-long dispatch hold for a
 // request that found the queue idle. Caller holds q.mu; the timer callback
 // fires outside every ktime/host-timer lock, so arming under q.mu is safe.
-func (q *Queue) openAnticipationLocked(delay time.Duration) {
+func (q *Queue) openAnticipationLocked() {
 	q.antOpen = true
 	q.antGen++
-	q.antHits = 0
 	gen := q.antGen
-	q.antStop = q.after(delay, func() { q.anticipationExpired(gen) })
-}
-
-// windowDelayLocked sizes the next anticipatory window. The fixed mode
-// always waits the full plugDelay. Adaptive mode bets on the observed
-// inter-submit cadence: with no estimate yet it waits the full window;
-// with the typical gap at or beyond the window it returns 0 — anticipation
-// cannot pay, every window would expire before the follow-up arrives — and
-// otherwise it holds for twice the typical gap (clamped to
-// [plugDelay/16, plugDelay]), long enough to catch the next request of a
-// burst without paying the full delay when the burst ends. Caller holds
-// q.mu.
-func (q *Queue) windowDelayLocked() time.Duration {
-	if !q.adaptive || q.gapEWMA == 0 {
-		return q.plugDelay
-	}
-	if q.gapEWMA >= q.plugDelay {
-		return 0
-	}
-	delay := 2 * q.gapEWMA
-	if floor := q.plugDelay / 16; delay < floor {
-		delay = floor
-	}
-	if delay > q.plugDelay {
-		delay = q.plugDelay
-	}
-	return delay
-}
-
-// noteSubmitGapLocked feeds one inter-submit gap into the cadence EWMA
-// (alpha 1/4, samples clamped to 4x plugDelay so one long pause does not
-// swamp the estimate but a genuinely slow submitter still pushes it past
-// the give-up threshold). Caller holds q.mu.
-func (q *Queue) noteSubmitGapLocked(now time.Time) {
-	if !q.lastSubmit.IsZero() {
-		gap := now.Sub(q.lastSubmit)
-		if max := 4 * q.plugDelay; gap > max {
-			gap = max
-		}
-		if q.gapEWMA == 0 {
-			q.gapEWMA = gap
-		} else {
-			q.gapEWMA += (gap - q.gapEWMA) / 4
-		}
-	}
-	q.lastSubmit = now
+	q.antStop = q.after(q.plugDelay, func() { q.anticipationExpired(gen) })
 }
 
 // closeAnticipationLocked converts or cancels an open window; dispatch is
@@ -431,12 +365,10 @@ func (q *Queue) closeAnticipationLocked() {
 	}
 }
 
-// anticipationExpired is the window's timer callback: nothing mergeable
-// arrived (or the submitter never waited), so stop anticipating and let
-// the accumulated batch go. In adaptive mode a window that did merge
-// traffic before expiring closed successfully — the burst simply ended —
-// so only zero-hit windows count as timeouts there; the fixed mode keeps
-// the PR 4 accounting (every expiry is a miss).
+// anticipationExpired is the window's timer callback: the submitter never
+// waited or plugged, so stop anticipating and let the accumulated batch
+// go. Every expiry counts as a timeout, whether or not the window merged
+// anything.
 func (q *Queue) anticipationExpired(gen uint64) {
 	q.mu.Lock(nil)
 	if !q.antOpen || gen != q.antGen {
@@ -445,9 +377,7 @@ func (q *Queue) anticipationExpired(gen uint64) {
 	}
 	q.antOpen = false
 	q.antStop = nil
-	if !q.adaptive || q.antHits == 0 {
-		q.plugTimeouts++
-	}
+	q.plugTimeouts++
 	q.mu.Unlock()
 	q.kick(nil)
 }
@@ -494,27 +424,20 @@ func (q *Queue) submit(t *sched.Task, write bool, lba, n int, buf []byte) (*requ
 	}
 	// Anticipatory plugging: a request hitting an idle, unplugged queue
 	// would dispatch alone — solo commands are exactly what the elevator
-	// cannot merge. Hold it for a window instead (the full PlugDelay, or
-	// the cadence-sized adaptive one), so a lone sequential writer's
-	// follow-ups accumulate into one command. Requests landing in an open
-	// window are the anticipated traffic (plug hits); once the pending
-	// span can no longer grow a bigger command, waiting is pointless and
-	// the window converts.
+	// cannot merge. Hold it for PlugDelay instead, so a lone sequential
+	// writer's follow-ups accumulate into one command. Requests landing in
+	// an open window are the anticipated traffic (plug hits); once the
+	// pending span can no longer grow a bigger command, waiting is
+	// pointless and the window converts.
 	if q.plugDelay > 0 && q.plugs == 0 {
-		if q.adaptive {
-			q.noteSubmitGapLocked(time.Now())
-		}
 		switch {
 		case q.antOpen:
 			q.plugHits++
-			q.antHits++
 			if q.pendingN >= maxMergeBlocks {
 				q.closeAnticipationLocked()
 			}
 		case idle:
-			if delay := q.windowDelayLocked(); delay > 0 {
-				q.openAnticipationLocked(delay)
-			}
+			q.openAnticipationLocked()
 		}
 	}
 	q.mu.Unlock()
@@ -1027,19 +950,6 @@ func (q *Queue) Dead() bool {
 
 // Depth reports the configured in-flight command bound.
 func (q *Queue) Depth() int { return q.depth }
-
-// PlugDelay reports the anticipatory-plug window ceiling (0 = disabled).
-func (q *Queue) PlugDelay() time.Duration { return q.plugDelay }
-
-// AdaptivePlug reports whether windows are cadence-sized (see
-// Options.AdaptivePlug), plus the current inter-submit gap estimate and
-// the window the next idle request would open (0 = anticipation currently
-// given up as hopeless).
-func (q *Queue) AdaptivePlug() (on bool, gap, window time.Duration) {
-	q.mu.Lock(nil)
-	defer q.mu.Unlock()
-	return q.adaptive, q.gapEWMA, q.windowDelayLocked()
-}
 
 var (
 	_ fs.TaskBlockDevice   = (*Queue)(nil)

@@ -168,6 +168,34 @@ func TestAnticipatoryPlugTimeout(t *testing.T) {
 	}
 }
 
+// TestAnticipatoryPlugExpiryAfterMerge: a window that merged traffic but
+// was released by its timer (nobody waited) still dispatches one merged
+// command, and every expiry counts as a timeout, hits or not.
+func TestAnticipatoryPlugExpiryAfterMerge(t *testing.T) {
+	dev := &cmdDev{BlockDevice: fs.NewRamdisk(512, 64)}
+	q := New(dev, Options{PlugDelay: 2 * time.Millisecond})
+	// Two adjacent fire-and-forget writes: the first opens a window, the
+	// second rides it; only the timer can release the batch.
+	for i := 0; i < 2; i++ {
+		if _, err := q.SubmitWrite(nil, 10+i, 1, make([]byte, 512)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(dev.writeCmds()) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("window never expired")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	if cmds := dev.writeCmds(); len(cmds) != 1 || cmds[0] != [2]int{10, 2} {
+		t.Fatalf("expired window dispatched %v, want one merged [10 2] command", cmds)
+	}
+	if hits, timeouts := q.PlugStats(); hits != 1 || timeouts != 1 {
+		t.Fatalf("hits=%d timeouts=%d, want 1/1", hits, timeouts)
+	}
+}
+
 // TestExplicitPlugBypassesAnticipatoryDelay: a Plug/Unplug bracket is an
 // explicit batch — Unplug dispatches it immediately, it never waits out
 // PlugDelay (set here to a minute: any accidental wait would hang the
@@ -199,6 +227,67 @@ func TestExplicitPlugBypassesAnticipatoryDelay(t *testing.T) {
 	hits, timeouts := q.PlugStats()
 	if hits != 0 || timeouts != 0 {
 		t.Fatalf("explicit batch touched the anticipatory plug: hits=%d timeouts=%d", hits, timeouts)
+	}
+}
+
+// TestWaitParksExplicitPlug is the schedule()-flushes-the-plug rule: a
+// task that waits on its own request while holding an explicit plug would
+// deadlock — the plug holds back the very dispatch it sleeps on — so wait
+// parks the sleeper's plugs (dispatching the batch) and reinstates them on
+// wake, where they keep holding later submissions until the real Unplug.
+func TestWaitParksExplicitPlug(t *testing.T) {
+	dev := &cmdDev{BlockDevice: fs.NewRamdisk(512, 64)}
+	q := New(dev, Options{PlugDelay: -1}) // isolate the explicit plug
+	s := sched.New(sched.Config{Cores: 1})
+	s.Start()
+	defer s.Shutdown(5 * time.Second)
+
+	done := make(chan error, 1)
+	s.Go("plugged-writer", 0, func(task *sched.Task) {
+		q.Plug(task)
+		defer q.Unplug(task)
+		tk, err := q.SubmitWrite(task, 10, 1, make([]byte, 512))
+		if err != nil {
+			done <- err
+			return
+		}
+		// Without parking this sleep never ends: the task's own plug holds
+		// the request it is waiting for.
+		if err := tk.Wait(task); err != nil {
+			done <- err
+			return
+		}
+		if cmds := dev.writeCmds(); len(cmds) != 1 {
+			t.Errorf("after parked wait: %v device commands, want the batch dispatched", cmds)
+		}
+		// The plug survived the sleep: a post-wake submission accumulates
+		// again instead of dispatching (sync backend dispatches inline at
+		// submit when unplugged, so this check is deterministic).
+		if _, err := q.SubmitWrite(task, 20, 1, make([]byte, 512)); err != nil {
+			done <- err
+			return
+		}
+		if cmds := dev.writeCmds(); len(cmds) != 1 {
+			t.Errorf("post-wake submit dispatched through a reinstated plug: %v", cmds)
+		}
+		done <- nil
+	})
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("plugged waiter deadlocked: wait() did not park the task's plug")
+	}
+	// The deferred Unplug released the reinstated plug and dispatched the
+	// post-wake write.
+	deadline := time.Now().Add(5 * time.Second)
+	for len(dev.writeCmds()) != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("final commands = %v, want the post-wake write dispatched at Unplug", dev.writeCmds())
+		}
+		time.Sleep(50 * time.Microsecond)
 	}
 }
 

@@ -66,8 +66,9 @@
 //     a longer wait cannot grow the command; (c) an explicit Plug takes
 //     over; or (d) PlugDelay expires (the timer fires through the
 //     Options.After source — the kernel's virtual timers — and counts as
-//     a plug timeout). Submissions that arrive while a window is open
-//     count as plug hits; both counters surface in /proc/diskstats.
+//     a plug timeout, even when the window caught hits). Every window
+//     lasts the same PlugDelay. Submissions that arrive while a window is open count as plug hits;
+//     both counters surface in /proc/diskstats.
 //
 // # Caller invariants
 //

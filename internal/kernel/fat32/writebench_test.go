@@ -270,23 +270,20 @@ func runFsyncAppend(tb testing.TB, plugDelay time.Duration, appends, appendSize 
 // submitter is the shape where windows actually EXPIRE: each record finds
 // an idle queue, opens an anticipatory window, and — the cadence being far
 // slower than any window — waits it out for nothing, paying one PlugDelay
-// of added time-to-media latency per record. Fixed-delay plugging pays
-// that on every single record; adaptive plugging learns the cadence after
-// the first window and stops opening them, so plug_timeouts (and the
-// added latency) collapse.
+// of added time-to-media latency per record.
 const (
 	paAppends    = 64
 	paAppendSize = SectorSize
 	paThink      = 4 * blkq.DefaultPlugDelay // inter-record think time
 )
 
-func runPacedAppend(tb testing.TB, adaptive bool, latencyScale float64) fsyncAppendResult {
+func runPacedAppend(tb testing.TB, latencyScale float64) fsyncAppendResult {
 	tb.Helper()
 	ic := hw.NewIRQController(1)
 	sd := hw.NewSDCard(65536, ic)
 	sd.SetLatencyScale(latencyScale)
 	adev := asyncSDDev{sdDev{sd}}
-	q := blkq.New(adev, blkq.Options{Async: adev, PlugDelay: blkq.DefaultPlugDelay, AdaptivePlug: adaptive})
+	q := blkq.New(adev, blkq.Options{Async: adev, PlugDelay: blkq.DefaultPlugDelay})
 	ic.Register(hw.IRQSD, 0, func(hw.IRQLine, int) { q.CompletionIRQ() })
 	record := make([]byte, paAppendSize)
 	for i := range record {
@@ -323,9 +320,6 @@ func runPacedAppend(tb testing.TB, adaptive bool, latencyScale float64) fsyncApp
 		MergeRatio:   1,
 		PlugHits:     hits,
 		PlugTimeouts: timeouts,
-	}
-	if adaptive {
-		res.Config = "adaptive-plug"
 	}
 	if disp > 0 {
 		res.MergeRatio = float64(sub) / float64(disp)
@@ -384,8 +378,7 @@ func TestWriteHeavyThroughput(t *testing.T) {
 	speedup := opt.MBps / base.MBps
 	noplug := runFsyncAppend(t, -1, faAppends, faAppendSize, wbScale)
 	plug := runFsyncAppend(t, blkq.DefaultPlugDelay, faAppends, faAppendSize, wbScale)
-	fixedPaced := runPacedAppend(t, false, wbScale)
-	adaptivePaced := runPacedAppend(t, true, wbScale)
+	fixedPaced := runPacedAppend(t, wbScale)
 	report := map[string]any{
 		"benchmark":         "write-heavy (8 tasks, latency-bound SD, one FAT32 mount)",
 		"append_size":       wbAppendSize,
@@ -400,7 +393,7 @@ func TestWriteHeavyThroughput(t *testing.T) {
 		},
 		"paced_1appender": map[string]any{
 			"benchmark": "1 paced fire-and-forget appender, think time 4x PlugDelay, latency-bound SD",
-			"results":   []fsyncAppendResult{fixedPaced, adaptivePaced},
+			"results":   []fsyncAppendResult{fixedPaced},
 		},
 	}
 	blob, err := json.MarshalIndent(report, "", "  ")
@@ -416,10 +409,8 @@ func TestWriteHeavyThroughput(t *testing.T) {
 	t.Logf("fsync-appender noplug: %d submitted / %d commands, merge ratio %.2f", noplug.QSubmitted, noplug.QCommands, noplug.MergeRatio)
 	t.Logf("fsync-appender plug:   %d submitted / %d commands, merge ratio %.2f (hits %d, timeouts %d)",
 		plug.QSubmitted, plug.QCommands, plug.MergeRatio, plug.PlugHits, plug.PlugTimeouts)
-	t.Logf("paced-appender fixed:    %d submitted / %d commands, merge ratio %.2f (hits %d, timeouts %d)",
+	t.Logf("paced-appender fixed: %d submitted / %d commands, merge ratio %.2f (hits %d, timeouts %d)",
 		fixedPaced.QSubmitted, fixedPaced.QCommands, fixedPaced.MergeRatio, fixedPaced.PlugHits, fixedPaced.PlugTimeouts)
-	t.Logf("paced-appender adaptive: %d submitted / %d commands, merge ratio %.2f (hits %d, timeouts %d)",
-		adaptivePaced.QSubmitted, adaptivePaced.QCommands, adaptivePaced.MergeRatio, adaptivePaced.PlugHits, adaptivePaced.PlugTimeouts)
 	if speedup < 2 {
 		t.Errorf("async stack speedup %.2fx, want >= 2x", speedup)
 	}
@@ -432,10 +423,6 @@ func TestWriteHeavyThroughput(t *testing.T) {
 	}
 	if fixedPaced.PlugTimeouts == 0 {
 		t.Errorf("paced appender under fixed plugging recorded no plug timeouts — the workload no longer exercises the window-expiry path")
-	}
-	if adaptivePaced.PlugTimeouts*2 > fixedPaced.PlugTimeouts {
-		t.Errorf("adaptive plug timeouts = %d vs %d fixed; want at least a 2x drop on the paced lone appender",
-			adaptivePaced.PlugTimeouts, fixedPaced.PlugTimeouts)
 	}
 	if opt.MBps < 0.8*wbPR5BaselineMBps {
 		t.Errorf("write-heavy throughput %.2f MB/s is under 80%% of the PR 5 baseline %.2f MB/s — the ordered-writes discipline regressed the hot path",

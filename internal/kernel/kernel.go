@@ -83,38 +83,11 @@ type Config struct {
 	EnableTrace   bool // kdebug event tracing
 	EnableNet     bool // TCP-ish sockets over the board NIC (needs MachineConfig.EnableNIC)
 
-	// Buffer-cache sizing for both filesystems (0 = bcache defaults).
-	// Shard count trades lock contention for memory locality; buffer
-	// count bounds how much of the working set stays cached.
-	CacheShards  int
+	// CacheBuffers bounds how many buffers each filesystem's cache holds
+	// (0 = bcache default). Every other storage setting — shard count,
+	// queue depth, dirty ratio, plug window — is its package default;
+	// ModeXv6 replaces them all with the xv6 baseline.
 	CacheBuffers int
-
-	// QueueDepth bounds how many commands each device's IO request queue
-	// keeps in flight (0 = blkq.DefaultDepth; negative disables the
-	// queues entirely — the synchronous baseline). ModeXv6 always runs
-	// without queues.
-	QueueDepth int
-
-	// WritebackRatio is the dirty-buffer percentage that wakes the
-	// per-mount writeback daemon ahead of its age interval (0 = bcache
-	// default; negative disables the ratio trigger). ModeXv6 runs the
-	// caches write-through, without daemons.
-	WritebackRatio int
-
-	// PlugDelay is each request queue's anticipatory-plug window: how long
-	// a request arriving at an idle queue is held back so a lone
-	// sequential writer's follow-ups can accumulate and merge (0 =
-	// blkq.DefaultPlugDelay; negative disables anticipatory plugging).
-	// ModeXv6 runs without queues, so without plugging too.
-	PlugDelay time.Duration
-
-	// AdaptivePlug sizes each anticipatory window from the observed
-	// inter-submit gap instead of always waiting the full PlugDelay
-	// (blkq.Options.AdaptivePlug): fast bursts get short windows, and
-	// submitters slower than the window stop opening them — plug
-	// timeouts stop charging latency to workloads anticipation cannot
-	// help. PlugDelay stays the ceiling.
-	AdaptivePlug bool
 
 	RamdiskImage []byte // xv6fs image for the root filesystem
 
@@ -281,9 +254,7 @@ func (k *Kernel) Boot() error {
 		Quantum: k.cfg.TickInterval,
 		Power:   k.m.Power,
 		Tracer:  k.Trace,
-		After: func(d time.Duration, fn func()) func() bool {
-			return k.VTimers.After(d, fn).Stop
-		},
+		After:   k.VTimers.AfterFunc,
 		OnPanic: k.taskPanicked,
 	})
 	k.Sched.Start()
@@ -310,15 +281,11 @@ func (k *Kernel) Boot() error {
 
 	// Filesystems. Every mount goes over a BlockIO — the unified block IO
 	// path — fronted (outside the xv6 baseline) by a blkq request queue,
-	// and a sharded buffer cache sized by the Config knobs. The queue
+	// and a sharded buffer cache (Config.CacheBuffers sizes it). The queue
 	// gives cross-task elevator merging and IRQ-driven completion; the
 	// cache runs write-behind with a kflushd daemon per mount.
-	copts := bcache.Options{
-		Buffers:        k.cfg.CacheBuffers,
-		Shards:         k.cfg.CacheShards,
-		WritebackRatio: k.cfg.WritebackRatio,
-	}
-	useQueue := k.cfg.Mode != ModeXv6 && k.cfg.QueueDepth >= 0
+	copts := bcache.Options{Buffers: k.cfg.CacheBuffers}
+	useQueue := k.cfg.Mode != ModeXv6
 	if k.cfg.Mode == ModeXv6 {
 		// The xv6 baseline gets xv6's cache everywhere: one shard, NBUF
 		// buffers, no readahead, synchronous write-through — Figure 9
@@ -411,9 +378,7 @@ func (k *Kernel) Boot() error {
 			return fmt.Errorf("kernel: network enabled but machine has no NIC (MachineConfig.EnableNIC)")
 		}
 		k.Net = net.NewStack("eth0", NetLocalHost, k.m.NIC, net.Options{
-			After: func(d time.Duration, fn func()) func() bool {
-				return k.VTimers.After(d, fn).Stop
-			},
+			After: k.VTimers.AfterFunc,
 		})
 		k.m.IRQ.Register(hw.IRQNIC, 0, func(hw.IRQLine, int) { k.Net.IRQ() })
 		if !k.m.IRQ.Routed(hw.IRQNIC) {
@@ -455,20 +420,12 @@ func (k *Kernel) Boot() error {
 // virtual timers, and — when the device has async halves (the SD card) —
 // IRQ-driven completion, with submitting tasks asleep on the sched waitq
 // until hw.IRQSD fires. Returns the device unwrapped when queues are
-// disabled (baselines).
+// disabled (the ModeXv6 baseline).
 func (k *Kernel) stackQueue(d *BlockIO, enabled bool) fs.BlockDevice {
 	if !enabled {
 		return d
 	}
-	q := blkq.New(d, blkq.Options{
-		Depth:        k.cfg.QueueDepth,
-		Async:        d.Async(),
-		PlugDelay:    k.cfg.PlugDelay,
-		AdaptivePlug: k.cfg.AdaptivePlug,
-		After: func(dur time.Duration, fn func()) func() bool {
-			return k.VTimers.After(dur, fn).Stop
-		},
-	})
+	q := blkq.New(d, blkq.Options{Async: d.Async(), After: k.VTimers.AfterFunc})
 	d.SetQueue(q)
 	if d.Async() != nil {
 		// Route the device's completion IRQ into the queue: finished
@@ -489,9 +446,7 @@ func (k *Kernel) startFlushDaemon(name string, c *bcache.Cache) {
 	}
 	k.daemonCaches = append(k.daemonCaches, c)
 	k.Sched.Go("kflushd-"+name, 1, func(t *sched.Task) {
-		c.RunDaemon(t, func(d time.Duration, fn func()) func() bool {
-			return k.VTimers.After(d, fn).Stop
-		})
+		c.RunDaemon(t, k.VTimers.AfterFunc)
 	})
 }
 

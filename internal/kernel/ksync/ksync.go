@@ -421,6 +421,8 @@ const (
 	RankBlkq
 )
 
+// String names the rank as lock-order violation reports print it ("none"
+// for an unranked lock).
 func (r Rank) String() string {
 	switch r {
 	case RankRename:

@@ -13,6 +13,18 @@ import (
 	"time"
 )
 
+// AfterFunc is the kernel's one timer seam: schedule fn to run once after
+// d and return a function that cancels it, reporting whether fn was still
+// pending. The scheduler's sleeps, the request queues' plug windows,
+// command timeouts and retry backoff, the flusher daemons' interval and
+// the network stack's retransmit timer all take one. The kernel passes
+// (*Set).AfterFunc, so they multiplex over its virtual timers; HostAfter
+// is the host-clock default.
+type AfterFunc func(d time.Duration, fn func()) func() bool
+
+// HostAfter is the AfterFunc over the host clock (time.AfterFunc).
+func HostAfter(d time.Duration, fn func()) func() bool { return time.AfterFunc(d, fn).Stop }
+
 // Timer is a handle to one pending virtual timer.
 type Timer struct {
 	deadline time.Time
@@ -70,6 +82,12 @@ func NewSet() *Set {
 // After arms a one-shot virtual timer.
 func (s *Set) After(d time.Duration, fn func()) *Timer {
 	return s.arm(d, 0, fn)
+}
+
+// AfterFunc arms a one-shot virtual timer and returns its Stop; the method
+// value s.AfterFunc is the AfterFunc seam over this set.
+func (s *Set) AfterFunc(d time.Duration, fn func()) func() bool {
+	return s.After(d, fn).Stop
 }
 
 // Every arms a periodic virtual timer.

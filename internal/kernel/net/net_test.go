@@ -12,6 +12,8 @@ import (
 
 	"protosim/internal/hw"
 	"protosim/internal/kernel/fs"
+	"protosim/internal/kernel/ktime"
+	"protosim/internal/kernel/sched"
 )
 
 // twoStacks wires two stacks over a simulated NIC link. All test IO runs
@@ -71,11 +73,6 @@ func readFull(t *testing.T, sk *Socket, n int) []byte {
 		got += m
 	}
 	return buf
-}
-
-// realAfter adapts time.AfterFunc to the Options.After seam.
-func realAfter(d time.Duration, fn func()) func() bool {
-	return time.AfterFunc(d, fn).Stop
 }
 
 func pattern(n int, seed int64) []byte {
@@ -417,11 +414,55 @@ func TestFlowControlZeroWindowRecovers(t *testing.T) {
 	<-done
 }
 
+// TestSendSleepsUntilTxRoom: a task that finds the NIC TX ring full
+// sleeps on txWait and resumes once the stalled wire drains the ring.
+func TestSendSleepsUntilTxRoom(t *testing.T) {
+	// 1000 B/s: the first 300-byte frame holds the wire for 300ms, so the
+	// ring fills behind it before any descriptor completes.
+	a, _ := twoStacks(t, hw.LinkConfig{BandwidthAB: 1000}, Options{})
+	if err := a.nic.SubmitTX(0, make([]byte, 300)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < hw.NICTxRing; i++ {
+		if err := a.nic.SubmitTX(uint64(i), []byte{0}); err != nil {
+			t.Fatalf("filling descriptor %d: %v", i, err)
+		}
+	}
+	if a.nic.TxRoom() {
+		t.Fatal("TX ring has room after NICTxRing submits")
+	}
+
+	s := sched.New(sched.Config{Cores: 1})
+	s.Start()
+	defer s.Shutdown(5 * time.Second)
+	done := make(chan struct{})
+	s.Go("sender", 0, func(task *sched.Task) {
+		defer close(done)
+		a.send(task, []byte{1}, 2)
+	})
+	waitFor(t, "sender asleep on the full ring", func() bool {
+		select {
+		case <-done:
+			t.Fatal("send returned while the TX ring was full")
+		default:
+		}
+		return a.txWait.Waiting() == 1
+	})
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("sender never resumed after the ring drained")
+	}
+	if got := a.nic.Stats().TxFrames; got != hw.NICTxRing+1 {
+		t.Fatalf("TxFrames = %d, want %d (the blocked frame went out)", got, hw.NICTxRing+1)
+	}
+}
+
 func TestFaultPlanConverges(t *testing.T) {
 	// A hostile link: drops, dups, reorders, latency spikes — and the
 	// go-back-N machinery behind the After seam must still deliver every
 	// byte in order, both directions.
-	opts := Options{After: realAfter, RTO: 5 * time.Millisecond}
+	opts := Options{After: ktime.HostAfter, RTO: 5 * time.Millisecond}
 	a, b := twoStacks(t, hw.LinkConfig{}, opts)
 	plan := hw.NetFaultPlan{
 		Seed:          42,

@@ -12,6 +12,7 @@ import (
 
 	"protosim/internal/hw"
 	"protosim/internal/kernel/bufpool"
+	"protosim/internal/kernel/ktime"
 	"protosim/internal/kernel/sched"
 )
 
@@ -51,9 +52,9 @@ type Options struct {
 	// After is the retransmit-timer seam: schedule fn after d and return
 	// a cancel function. nil disables retransmission entirely — correct
 	// on a loss-free link, and what most unit tests want (no timers, no
-	// nondeterminism). Production wiring passes time.AfterFunc; tests may
-	// pass a virtual clock.
-	After func(d time.Duration, fn func()) func() bool
+	// nondeterminism). The kernel passes its virtual timers; host-side
+	// stacks pass ktime.HostAfter.
+	After ktime.AfterFunc
 	// RTO overrides the retransmit timeout (default 20ms).
 	RTO time.Duration
 }
@@ -77,7 +78,7 @@ type Stack struct {
 	host uint16
 	nic  *hw.NIC
 
-	after func(time.Duration, func()) func() bool
+	after ktime.AfterFunc
 	rto   time.Duration
 
 	framePool *bufpool.Pool // hw.NICMTU frames, shared across stacks
@@ -227,10 +228,12 @@ func (s *Stack) drainNIC() {
 
 // send transmits one marshalled frame: loopback when the destination is
 // this host (or the stack has no NIC), otherwise the NIC TX ring,
-// sleeping on txWait when the ring is full. Tasks sleep; the softirq and
-// timer goroutines (t == nil) spin-yield, which the TX-completion design
-// keeps finite: the NIC frees ring slots at serialization time, not at
-// completion-drain time.
+// sleeping on txWait when the ring is full. A task registers on txWait
+// before re-checking for room, so the softirq's WakeAll after a TX
+// completion cannot slip in between and be lost. Tasks sleep; the softirq
+// and timer goroutines (t == nil) spin-yield, which the TX-completion
+// design keeps finite: the NIC frees ring slots at serialization time, not
+// at completion-drain time.
 func (s *Stack) send(t *sched.Task, frame []byte, dstHost uint16) {
 	s.segsOut.Add(1)
 	if s.nic == nil || dstHost == s.host {
@@ -250,7 +253,7 @@ func (s *Stack) send(t *sched.Task, frame []byte, dstHost uint16) {
 					// handling) owns recovery.
 					return
 				}
-				s.txWait.Sleep(t)
+				s.txWait.SleepUnless(t, s.nic.TxRoom)
 			} else {
 				runtime.Gosched()
 			}

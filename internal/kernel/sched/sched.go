@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"protosim/internal/kernel/ktime"
 )
 
 // RunqueueMode selects the runqueue topology. Prototypes 2–4 use one shared
@@ -32,12 +34,6 @@ type Tracer interface {
 	TraceEvent(core int, event string, arg1, arg2 int64)
 }
 
-// AfterFunc schedules fn after d, returning a cancel function. The kernel
-// installs ktime's virtual-timer set here so task sleeps are multiplexed
-// over one hardware timer (Prototype 1's virtual timers); the default is
-// the host's time.AfterFunc.
-type AfterFunc func(d time.Duration, fn func()) (stop func() bool)
-
 // Config sizes the scheduler.
 type Config struct {
 	Cores    int
@@ -45,7 +41,7 @@ type Config struct {
 	Quantum  time.Duration             // informational; ticks come from hw timers
 	Power    BusyAccounter             // optional
 	Tracer   Tracer                    // optional
-	After    AfterFunc                 // optional timer source (default time.AfterFunc)
+	After    ktime.AfterFunc           // optional timer source (default ktime.HostAfter)
 	OnZombie func(*Task)               // optional: called when a task exits (reaping)
 	OnPanic  func(t *Task, reason any) // optional: task body panicked
 }
@@ -86,17 +82,9 @@ func New(cfg Config) *Scheduler {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if s.cfg.After == nil {
-		s.cfg.After = func(d time.Duration, fn func()) func() bool {
-			t := time.AfterFunc(d, fn)
-			return t.Stop
-		}
+		s.cfg.After = ktime.HostAfter
 	}
 	return s
-}
-
-// after schedules a wakeup through the configured timer source.
-func (s *Scheduler) after(d time.Duration, fn func()) func() bool {
-	return s.cfg.After(d, fn)
 }
 
 // Cores returns the configured core count.

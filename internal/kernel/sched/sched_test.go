@@ -231,7 +231,10 @@ func TestWaitQueueWakeAll(t *testing.T) {
 }
 
 // TestLostWakeupAbsorbed exercises the wakePending path: a wake delivered
-// between "publish on queue" and "block" must not be lost.
+// between "publish on queue" and "block" must not be lost. The sleeper
+// re-checks the flag after registering (SleepUnless), so a WakeAll that
+// runs before registration is caught by the check, and one that runs
+// between the check and the block is absorbed by wakePending.
 func TestLostWakeupAbsorbed(t *testing.T) {
 	s := newTestSched(t, 2, RunqueueGlobal)
 	for i := 0; i < 200; i++ {
@@ -241,7 +244,7 @@ func TestLostWakeupAbsorbed(t *testing.T) {
 		s.Go("sleeper", 0, func(t *Task) {
 			defer close(done)
 			for !flag.Load() {
-				wq.Sleep(t)
+				wq.SleepUnless(t, flag.Load)
 			}
 		})
 		s.Go("waker", 0, func(t *Task) {

@@ -30,6 +30,7 @@ const (
 	StateZombie                // exited, not yet reaped
 )
 
+// String returns the state's xv6-style name ("runnable", "sleeping", ...).
 func (s State) String() string {
 	switch s {
 	case StateEmbryo:
@@ -220,7 +221,7 @@ func (t *Task) SleepFor(d time.Duration) {
 		t.Yield()
 		return
 	}
-	stop := t.sched.after(d, func() { t.sched.wake(t) })
+	stop := t.sched.cfg.After(d, func() { t.sched.wake(t) })
 	defer stop()
 	t.block()
 }

@@ -10,6 +10,7 @@ import (
 
 	"protosim/internal/hw"
 	"protosim/internal/kernel/fs"
+	"protosim/internal/kernel/ktime"
 	"protosim/internal/kernel/net"
 	"protosim/internal/kernel/xv6fs"
 )
@@ -39,9 +40,7 @@ func netKernel(t *testing.T, cores int) (*Kernel, *net.Stack) {
 	}
 
 	peer := net.NewStack("peer0", NetPeerHost, m.PeerNIC, net.Options{
-		After: func(d time.Duration, fn func()) func() bool {
-			return time.AfterFunc(d, fn).Stop
-		},
+		After: ktime.HostAfter,
 	})
 	m.PeerNIC.SetNotify(peer.IRQ)
 

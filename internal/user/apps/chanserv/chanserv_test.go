@@ -14,6 +14,7 @@ import (
 
 	"protosim/internal/core"
 	"protosim/internal/kernel"
+	"protosim/internal/kernel/ktime"
 	"protosim/internal/kernel/net"
 	"protosim/internal/user/apps/chanserv"
 	"protosim/internal/user/ulib"
@@ -34,9 +35,7 @@ func netSystem(t testing.TB) (*core.System, *net.Stack) {
 	}
 	sys.Machine.SD.SetLatencyScale(0)
 	peer := net.NewStack("peer0", kernel.NetPeerHost, sys.Machine.PeerNIC, net.Options{
-		After: func(d time.Duration, fn func()) func() bool {
-			return time.AfterFunc(d, fn).Stop
-		},
+		After: ktime.HostAfter,
 	})
 	sys.Machine.PeerNIC.SetNotify(peer.IRQ)
 	t.Cleanup(func() {

@@ -20,7 +20,8 @@ vet:
 	$(GO) vet ./...
 	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
 
-# Documentation lint: the storage-stack packages treat their docs as a
+# Documentation lint: the storage-stack packages (the filesystems, the
+# crash harness and the hardware models included) treat their docs as a
 # contract (doc.go invariants, go doc usability), so every exported
 # identifier there must carry a doc comment. cmd/lintdoc is the
 # dependency-free revive/golint "exported" rule.
@@ -29,7 +30,8 @@ lint:
 		internal/kernel/fs internal/kernel/errseq internal/kernel/uring \
 		internal/kernel/dcache internal/kernel/net internal/kernel/bufpool \
 		internal/kernel/ktime internal/kernel/jnl internal/kernel/sched \
-		internal/kernel/ksync
+		internal/kernel/ksync internal/kernel/fat32 internal/kernel/xv6fs \
+		internal/kernel/crash internal/hw
 
 # Lookup-vs-mutation torture: concurrent walkers on the dentry cache's
 # lock-free fast path against create/unlink/rename/rmdir mutators, on

@@ -80,10 +80,14 @@ type Framebuffer struct {
 // Base returns the physical address of the framebuffer.
 func (fb *Framebuffer) Base() int { return fb.base }
 
-// Width, Height, Pitch describe the geometry.
-func (fb *Framebuffer) Width() int  { return fb.width }
+// Width returns the visible width in pixels.
+func (fb *Framebuffer) Width() int { return fb.width }
+
+// Height returns the visible height in pixels (rows).
 func (fb *Framebuffer) Height() int { return fb.height }
-func (fb *Framebuffer) Pitch() int  { return fb.pitch }
+
+// Pitch returns the byte stride between the starts of adjacent rows.
+func (fb *Framebuffer) Pitch() int { return fb.pitch }
 
 // Size returns the byte length of the pixel region.
 func (fb *Framebuffer) Size() int { return fb.pitch * fb.height }

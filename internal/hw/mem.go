@@ -13,7 +13,10 @@
 // flush.
 package hw
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // FrameSize is the small page size of the machine (4 KB, as on ARMv8).
 const FrameSize = 4096
@@ -63,14 +66,23 @@ func (m *Mem) Frame(frame int) []byte {
 // Scramble fills memory with a deterministic non-zero pattern, modelling the
 // arbitrary content of real DRAM at power-on. Kernel code that assumes
 // zeroed memory (a QEMU-only luxury) breaks visibly under test.
+// Each xorshift step fills eight bytes, so scrambling a full-size DRAM
+// stays a small share of boot.
 func (m *Mem) Scramble(seed uint64) {
 	x := seed | 1
-	for i := range m.buf {
+	next := func() uint64 {
 		// xorshift64: cheap, deterministic garbage.
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
-		m.buf[i] = byte(x)
+		return x
+	}
+	i := 0
+	for ; i+8 <= len(m.buf); i += 8 {
+		binary.LittleEndian.PutUint64(m.buf[i:], next())
+	}
+	for ; i < len(m.buf); i++ {
+		m.buf[i] = byte(next())
 	}
 }
 

@@ -1105,12 +1105,17 @@ func (c *Cache) flushDirty(t *sched.Task) error {
 
 // flushQueued writes the given dirty blocks back over the request queue.
 // Windows of up to maxWritebackRun buffers are locked (ascending LBA, the
-// buffer-rank order), submitted — one request per block, zero-copy out of
-// the buffer, merged by the elevator — and waited on before the locks
-// drop, so a buffer is never marked clean ahead of its completion. When
-// plugged, each window's submissions go out under an explicit
-// Plug/Unplug bracket (the batch assemblers: Flush, the daemon);
-// FlushOwner passes false and leans on the queue's anticipatory plug.
+// buffer-rank order) and submitted — one request per block, zero-copy out
+// of the buffer, merged by the elevator. Each submitted buffer stays
+// locked until its own write completes, so it is never marked clean ahead
+// of its completion, and is released then rather than when the window's
+// last command lands: a FAT sector flushed beside a long data run is free
+// again after its own one-block write. Buffers the window locked but did
+// not submit are released as soon as submission ends. The call returns
+// only after every submitted write has completed. When plugged, each
+// window's submissions go out under an explicit Plug/Unplug bracket (the
+// batch assemblers: Flush, the daemon); FlushOwner passes false and leans
+// on the queue's anticipatory plug.
 func (c *Cache) flushQueued(t *sched.Task, dirty []int, plugged bool) error {
 	var firstErr error
 	type sub struct {
@@ -1132,13 +1137,15 @@ func (c *Cache) flushQueued(t *sched.Task, dirty []int, plugged bool) error {
 			bufs = append(bufs, b)
 		}
 		subs := make([]sub, 0, len(bufs))
+		var idle []*Buf // locked but not submitted
 		runs := 0
 		if plugged {
 			c.qdev.Plug(t)
 		}
 		for k, b := range bufs {
 			if !b.dirty || !b.valid || b.nosteal {
-				continue // cleaned by a racing writeback, or journal-frozen
+				idle = append(idle, b) // cleaned by a racing writeback, or journal-frozen
+				continue
 			}
 			if k == 0 || bufs[k-1].lba != b.lba-1 {
 				runs++ // contiguous-run accounting (flushBatches)
@@ -1149,12 +1156,18 @@ func (c *Cache) flushQueued(t *sched.Task, dirty []int, plugged bool) error {
 				if firstErr == nil {
 					firstErr = err
 				}
+				idle = append(idle, b)
 				continue
 			}
 			subs = append(subs, sub{b: b, tk: tk})
 		}
 		if plugged {
 			c.qdev.Unplug(t)
+		}
+		// Released only now, not inside the loop: the run accounting
+		// reads the previous buffer's LBA.
+		for _, b := range idle {
+			c.Release(b)
 		}
 		for _, s := range subs {
 			if err := s.tk.Wait(t); err != nil {
@@ -1166,17 +1179,14 @@ func (c *Cache) flushQueued(t *sched.Task, dirty []int, plugged bool) error {
 				if firstErr == nil {
 					firstErr = err
 				}
-				continue
+			} else {
+				s.b.fails = 0
+				c.setFlags(s.b, true, false)
+				c.writebacks.Add(1)
 			}
-			s.b.fails = 0
-			c.setFlags(s.b, true, false)
-			c.writebacks.Add(1)
+			c.Release(s.b)
 		}
 		c.flushBatches.Add(int64(runs))
-		for _, b := range bufs {
-			b.lock.Unlock()
-			c.unpin(b)
-		}
 	}
 	return firstErr
 }

@@ -402,6 +402,160 @@ func TestFlushOverQueueMergesAndIsDurable(t *testing.T) {
 	}
 }
 
+// gatedDev is an async backend whose completions the test releases by
+// hand: every command transfers at once, but the completion of a command
+// starting at or above gate is held until open is called. Unheld
+// completions are posted at once. Each held block is reported on heldCh.
+type gatedDev struct {
+	*fs.Ramdisk
+	gate   int
+	heldCh chan int
+	notify func()
+
+	mu     sync.Mutex
+	opened bool
+	held   []uint64
+	done   []uint64
+}
+
+func (d *gatedDev) SubmitRead(tag uint64, lba, n int, dst []byte) error {
+	return d.complete(tag, d.Ramdisk.ReadBlocks(lba, n, dst), lba, n)
+}
+
+func (d *gatedDev) SubmitWrite(tag uint64, lba, n int, src []byte) error {
+	return d.complete(tag, d.Ramdisk.WriteBlocks(lba, n, src), lba, n)
+}
+
+func (d *gatedDev) complete(tag uint64, err error, lba, n int) error {
+	if err != nil {
+		return err
+	}
+	d.mu.Lock()
+	hold := lba >= d.gate && !d.opened
+	if hold {
+		d.held = append(d.held, tag)
+	} else {
+		d.done = append(d.done, tag)
+	}
+	d.mu.Unlock()
+	if hold {
+		for i := 0; i < n; i++ {
+			d.heldCh <- lba + i
+		}
+		return nil
+	}
+	go d.notify() // the completion IRQ, raised outside the submit path
+	return nil
+}
+
+// open posts every held completion and stops holding new ones.
+func (d *gatedDev) open() {
+	d.mu.Lock()
+	d.opened = true
+	d.done = append(d.done, d.held...)
+	d.held = nil
+	d.mu.Unlock()
+	go d.notify()
+}
+
+func (d *gatedDev) PopCompletion() (uint64, error, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(d.done) == 0 {
+		return 0, nil, false
+	}
+	tag := d.done[0]
+	d.done = d.done[1:]
+	return tag, nil, true
+}
+
+// TestFlushReleasesEachBufferAtItsOwnCompletion: a writeback window that
+// holds one low block beside a long run of higher blocks frees the low
+// block as soon as its own write completes, so a reader of that block (a
+// FAT sector, say) does not wait out the run's much longer command. The
+// barrier itself still returns only after every write completed.
+func TestFlushReleasesEachBufferAtItsOwnCompletion(t *testing.T) {
+	const low, runLo, runN = 2, 40, 32
+	dev := &gatedDev{Ramdisk: fs.NewRamdisk(512, 128), gate: runLo, heldCh: make(chan int, runN)}
+	q := blkq.New(dev, blkq.Options{Async: dev, Depth: 2, PlugDelay: -1, CmdTimeout: -1})
+	dev.notify = q.CompletionIRQ
+	defer dev.open() // never leave the flusher waiting on a failed test
+	c := NewWithOptions(q, Options{Buffers: 64, Shards: 4, Readahead: -1,
+		WritebackRatio: -1, FlushInterval: time.Hour})
+	src := make([]byte, 512)
+	for _, lba := range append([]int{low}, seq(runLo, runN)...) {
+		src[0] = byte(lba)
+		if err := c.WriteRange(nil, lba, 1, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	flushed := make(chan error, 1)
+	go func() { flushed <- c.Flush(nil) }()
+	for i := 0; i < runN; i++ {
+		select {
+		case <-dev.heldCh:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of the run's %d blocks reached the device", i, runN)
+		}
+	}
+
+	got := make(chan *Buf, 1)
+	go func() {
+		b, err := c.Get(nil, low)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- b
+	}()
+	select {
+	case b := <-got:
+		if b == nil {
+			return
+		}
+		if b.dirty || b.Data[0] != low {
+			t.Errorf("block %d after its own completion: dirty=%v data=%d", low, b.dirty, b.Data[0])
+		}
+		c.Release(b)
+	case <-time.After(2 * time.Second):
+		t.Fatalf("Get(%d) still blocked while the run's writes are held: the flush keeps a completed buffer locked", low)
+	}
+	select {
+	case err := <-flushed:
+		t.Fatalf("Flush returned (%v) before the run's writes completed", err)
+	default:
+	}
+
+	dev.open()
+	select {
+	case err := <-flushed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Flush did not return after the run completed")
+	}
+	if d := c.DirtyBuffers(); d != 0 {
+		t.Fatalf("DirtyBuffers = %d after Flush, want 0", d)
+	}
+	raw := make([]byte, 512)
+	for _, lba := range append([]int{low}, seq(runLo, runN)...) {
+		dev.ReadBlocks(lba, 1, raw)
+		if raw[0] != byte(lba) {
+			t.Fatalf("block %d not durable after Flush", lba)
+		}
+	}
+}
+
+// seq returns n consecutive ints starting at lo.
+func seq(lo, n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = lo + i
+	}
+	return s
+}
+
 // TestOwnerDirtyListTracksState: the per-owner dirty list (what makes
 // FlushOwner O(dirty-own) instead of a walk of every shard) must track
 // buffer state exactly — grow on owned dirtying, shrink on writeback,

@@ -88,6 +88,8 @@ const (
 	DataPathBypass
 )
 
+// String names the data path as it appears in benchmark and experiment
+// output: "range", "single-block" or "bypass".
 func (p DataPath) String() string {
 	switch p {
 	case DataPathRange:

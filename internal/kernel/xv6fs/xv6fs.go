@@ -652,17 +652,20 @@ func (f *FS) iupdate(t *sched.Task, ip *inode) error {
 // storage only when the final descriptor closes.
 func (f *FS) iput(t *sched.Task, ip *inode) {
 	f.imu.Lock()
-	reclaimed := false
 	// A latched-read-only mount must not reclaim: in-memory link counts
 	// may have diverged from disk when a transaction aborted, and writing
 	// frees based on them would corrupt what DID land. The next mount's
 	// orphan recovery sweeps whatever this leaks.
 	if ip.ref == 1 && ip.valid && ip.di.NLink == 0 && f.checkRW() == nil {
 		// Sole reference and no directory links left: nobody else can
-		// reach this inode (dirLookup can't find it, allocInode won't
-		// hand it out until it is marked free), so dropping imu here is
-		// safe — no new ref can appear. LockNested: unlink still holds
-		// the parent directory's lock when it puts the child.
+		// reach this inode through a dirent. Take it out of the table and
+		// retire its error stream before dropping imu: once its slot is
+		// marked free below, another task's create may allocate this inum,
+		// and its iget must build a fresh inode with a fresh stream, not
+		// take a second reference to this dying one. LockNested: unlink
+		// still holds the parent directory's lock when it puts the child.
+		delete(f.itable, ip.inum)
+		delete(f.owners, ip.inum)
 		f.imu.Unlock()
 		ip.lock.LockNested(t)
 		// A device error mid-reclaim leaves the transaction half-recorded
@@ -670,32 +673,27 @@ func (f *FS) iput(t *sched.Task, ip *inode) {
 		// never commits — the orphan record on disk survives for the next
 		// mount to finish the job.
 		rerr := f.truncate(t, ip)
+		// De-list from the on-disk orphan list in the same transaction as
+		// the slot free below: the two must commit together or recovery
+		// would reclaim a reused inum. De-listing first means nothing
+		// inum-keyed is touched once the slot can be reallocated.
+		if err := f.orphanRemove(t, ip.inum); rerr == nil {
+			rerr = err
+		}
 		f.ialloc.Lock(t)
 		ip.di.Type = typeFree
 		if err := f.iupdate(t, ip); rerr == nil {
 			rerr = err
 		}
 		f.ialloc.Unlock()
-		// De-list from the on-disk orphan list in the same transaction:
-		// the slot free above and the orphan record must commit together
-		// or recovery would reclaim a reused inum.
-		if err := f.orphanRemove(t, ip.inum); rerr == nil {
-			rerr = err
-		}
 		f.opAbort(rerr)
 		ip.valid = false
 		ip.lock.Unlock()
-		reclaimed = true
 		f.imu.Lock()
 	}
 	ip.ref--
-	if ip.ref == 0 {
+	if ip.ref == 0 && f.itable[ip.inum] == ip {
 		delete(f.itable, ip.inum)
-		if reclaimed {
-			// The on-disk file is gone; the inum's next owner is a
-			// different file and must start a fresh error stream.
-			delete(f.owners, ip.inum)
-		}
 	}
 	f.imu.Unlock()
 }

@@ -22,6 +22,7 @@ import (
 	"math/rand"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -572,6 +573,113 @@ func TestCrashFAT32Concurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, k := range points(rng, rec.Writes(), 12, nil) {
 		verifyFat(t, rec.ImageAt(k), fmt.Sprintf("concurrent point %d/%d", k, rec.Writes()))
+	}
+}
+
+// TestCrashFAT32AppendPublishesAtFsync pins where an append's ordering
+// barrier now lives: the append itself writes nothing to the device, and
+// its fsync makes the chain links and then the size durable. Every crash
+// point from the append to the end of the fsync must show either the old
+// size or the new one over a chain that backs it; after the fsync the
+// image is clean but for the FSInfo free count, which only a volume Sync
+// rewrites; and a later unfsynced append reaches the disk at close and
+// sync.
+func TestCrashFAT32AppendPublishesAtFsync(t *testing.T) {
+	rd := fs.NewRamdisk(fat32.SectorSize, fatSectors)
+	if err := fat32.Mkfs(rd); err != nil {
+		t.Fatal(err)
+	}
+	rec := crash.NewRecorder(rd)
+	fsys, err := fat32.MountWith(rec, nil, fatCache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	of, err := openOF(fsys, "/log.bin", fs.OCreate|fs.OWrOnly|fs.OAppend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendSync := func(n int, sync bool) {
+		t.Helper()
+		if _, err := of.Write(nil, make([]byte, n)); err != nil {
+			t.Fatal(err)
+		}
+		if !sync {
+			return
+		}
+		if err := of.Sync(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sizeOn := func(img *fs.Ramdisk) int64 {
+		t.Helper()
+		m, err := fat32.MountWith(img, nil, fatCache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := m.Stat(nil, "/log.bin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size
+	}
+
+	const head = 100
+	appendSync(head, true)
+	appended := rec.Writes()
+	appendSync(2*fat32.ClusterSize, false)
+	if n := rec.Writes() - appended; n != 0 {
+		t.Fatalf("an extending append issued %d device writes, want 0", n)
+	}
+	if err := of.Sync(nil); err != nil {
+		t.Fatal(err)
+	}
+	synced := rec.Writes()
+	newSize := int64(head + 2*fat32.ClusterSize)
+	for k := appended; k <= synced; k++ {
+		img := rec.ImageAt(k)
+		rep, err := fatfsck.Check(img, fatfsck.PostCrash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Clean() {
+			t.Fatalf("point %d/%d: post-crash fsck: %v", k, synced, rep.Errors)
+		}
+		size := sizeOn(img)
+		if k == appended && size != head {
+			t.Fatalf("before the fsync the image holds size %d, want %d", size, head)
+		}
+		if size != head && size != newSize {
+			t.Fatalf("point %d/%d: size %d, want %d or %d", k, synced, size, head, newSize)
+		}
+	}
+	img := rec.ImageAt(synced)
+	if size := sizeOn(img); size != newSize {
+		t.Fatalf("after the fsync the image holds size %d, want %d", size, newSize)
+	}
+	rep, err := fatfsck.Check(img, fatfsck.Strict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range rep.Errors {
+		if !strings.HasPrefix(e, "FSInfo free count") {
+			t.Fatalf("after the fsync: strict fsck: %v", rep.Errors)
+		}
+	}
+
+	// An unfsynced append reaches the disk at close and volume sync.
+	appendSync(head, false)
+	if err := of.Close(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := fsys.Sync(nil); err != nil {
+		t.Fatal(err)
+	}
+	img = rec.ImageAt(rec.Writes())
+	if rep, err := fatfsck.Check(img, fatfsck.Strict); err != nil || !rep.Clean() {
+		t.Fatalf("after close and sync: strict fsck: %v %v", err, rep.Errors)
+	}
+	if size := sizeOn(img); size != newSize+head {
+		t.Fatalf("a fresh mount after close and sync reports size %d, want %d", size, newSize+head)
 	}
 }
 

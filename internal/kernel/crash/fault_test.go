@@ -44,9 +44,15 @@ import (
 // run's context to fail loudly with all goroutine stacks.
 const faultWatchdog = 2 * time.Minute
 
+// faultRegressionSeeds always run, -short included: plans beyond the
+// short range that once exposed bugs. 67 gives up a FAT writeback
+// between an append and the publish of its size.
+var faultRegressionSeeds = []int64{67}
+
 // faultSeeds returns the plan seeds for one FS's fuzz sweep: a pinned
-// deterministic range (CI runs the same plans every time) plus, outside
-// -short, one fresh randomized seed. FAULT_SEED=<n> replays a single plan.
+// deterministic range (CI runs the same plans every time), the pinned
+// regression plans, and, outside -short, one fresh randomized seed.
+// FAULT_SEED=<n> replays a single plan.
 func faultSeeds(t *testing.T) []int64 {
 	if env := os.Getenv("FAULT_SEED"); env != "" {
 		s, err := strconv.ParseInt(env, 10, 64)
@@ -60,9 +66,14 @@ func faultSeeds(t *testing.T) []int64 {
 	if testing.Short() {
 		n = 12
 	}
-	out := make([]int64, 0, n+1)
+	out := make([]int64, 0, n+len(faultRegressionSeeds)+1)
 	for i := 1; i <= n; i++ {
 		out = append(out, int64(i))
+	}
+	for _, s := range faultRegressionSeeds {
+		if s > int64(n) {
+			out = append(out, s)
+		}
 	}
 	if !testing.Short() {
 		s := time.Now().UnixNano()

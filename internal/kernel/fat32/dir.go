@@ -335,7 +335,9 @@ func (f *FS) walkDirLocked(t *sched.Task, segs []string) (*pseudoInode, error) {
 // what makes a cached answer truthful: every mutation of (dp, name)
 // invalidates under that same lock. A positive hit reconstructs the
 // dirent — cluster, type, size, and slot location are all cached, and
-// the size is kept fresh in place by patchDirentSize.
+// the size is kept fresh in place by Pwrite and patchDirentSize, so it
+// is the live size, which can run ahead of the dirent's (see
+// publishSize).
 func (f *FS) lookupCached(t *sched.Task, dp *pseudoInode, name string) (*dirent83, direntRef, error) {
 	if e, ok := f.dc.Lookup(int64(dp.firstCluster), dcName(name)); ok {
 		if e.Neg {

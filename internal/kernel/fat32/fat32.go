@@ -146,7 +146,8 @@ type FS struct {
 	// Error-resilience state (errors=remount-ro). degraded flips when any
 	// asynchronous writeback is abandoned; roFlag latches when an ordered
 	// publish barrier fails — the dirent about to be written would point
-	// at structure the device never accepted — or the device dies. Once
+	// at structure the device never accepted — when a size publish meets
+	// a degraded mount (see publishSize), or when the device dies. Once
 	// latched, every mutating entry point returns ErrReadOnly; reads and
 	// fsync stay available.
 	degraded atomic.Bool
@@ -191,7 +192,12 @@ type pseudoInode struct {
 	// this file/directory and guards the fields below.
 	lock ksync.SleepLock
 	size uint32
-	dead bool // poisoned: chain freed, operations must fail
+	// diskSize is the size the dirent holds. An append grows size only;
+	// publishSize brings the dirent up to it at fsync, close, sync and
+	// rename. Set from the dirent at pin creation, then written only by
+	// patchDirentSize.
+	diskSize uint32
+	dead     bool // poisoned: chain freed, operations must fail
 	// unlinked marks an object removed from the namespace while other
 	// handles still referenced it: the dirent is gone but the chain is
 	// kept allocated so those descriptors keep reading, writing, and
@@ -580,12 +586,14 @@ func (f *FS) fatSector(c uint32) int {
 // orderedFlush forces the named sectors durable NOW, under one request-
 // queue plug. It is the ordered-writes discipline's only primitive: every
 // directory-entry write that publishes new structure (a fresh cluster, a
-// grown chain, a moved name) is preceded by an orderedFlush of the data
-// and FAT sectors it depends on, so no crash can leave a dirent pointing
-// at structure the device never saw. The reverse operations (unlink,
-// truncate) flush the UNpublishing dirent write before freeing, for the
-// same reason mirrored. See ARCHITECTURE.md's crash-consistency section
-// for the site-by-site ordering argument.
+// moved name, or a grown chain's size, which publishSize writes at fsync,
+// close, sync and rename rather than on each append) is preceded by an
+// orderedFlush of the data and FAT sectors it depends on, so no crash can
+// leave a dirent pointing at structure the device never saw. The
+// reverse operations (unlink, truncate) flush the UNpublishing dirent
+// write before freeing, for the same reason mirrored. See
+// ARCHITECTURE.md's crash-consistency section for the site-by-site
+// ordering argument.
 // A failed barrier latches the mount read-only: the caller's dirent
 // write will not happen, and allowing later mutations to race ahead of
 // the unflushed structure would break the ordering discipline globally.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -496,4 +497,56 @@ func TestRangeWritesCoalesceCommands(t *testing.T) {
 		t.Fatalf("256 KB write issued %d device commands; range batching missing", cmds)
 	}
 	fl.Close(nil)
+}
+
+// TestLiveSizeBeforePublish: an append leaves its size unpublished until
+// the next fsync, close, sync or rename, yet a path Stat and the parent's
+// ReadDir already report it. The mount has no dentry cache, so the size
+// cannot come from a cached entry.
+func TestLiveSizeBeforePublish(t *testing.T) {
+	f := newFS(t, 4096)
+	if err := f.Mkdir(nil, "/d"); err != nil {
+		t.Fatal(err)
+	}
+	dir, err := f.Stat(nil, "/d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl, err := openOF(f, "/d/grow.bin", fs.OCreate|fs.OWrOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(ClusterSize + 100)
+	if _, err := fl.Write(nil, make([]byte, want)); err != nil {
+		t.Fatal(err)
+	}
+	diskSize := func() uint32 {
+		t.Helper()
+		de, _, err := f.lookup(nil, uint32(dir.Inode), "grow.bin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return de.size
+	}
+	if got := diskSize(); got != 0 {
+		t.Fatalf("dirent size %d before any publish, want 0", got)
+	}
+	if st, err := f.Stat(nil, "/d/grow.bin"); err != nil || st.Size != want {
+		t.Fatalf("stat = %+v, %v; want size %d", st, err, want)
+	}
+	dfl, err := openOF(f, "/d", fs.ORdOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents, err := dfl.ReadDir(nil)
+	dfl.Close(nil)
+	if err != nil || len(ents) != 1 || !strings.EqualFold(ents[0].Name, "grow.bin") || ents[0].Size != want {
+		t.Fatalf("readdir = %+v, %v; want grow.bin of %d bytes", ents, err, want)
+	}
+	if err := fl.Close(nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := diskSize(); int64(got) != want {
+		t.Fatalf("dirent size %d after close, want %d", got, want)
+	}
 }

@@ -3,6 +3,7 @@ package fat32
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"sort"
 
 	"protosim/internal/kernel/bcache"
@@ -45,6 +46,7 @@ func (f *FS) pin(cluster uint32, isDir bool, size uint32, ref direntRef, parent 
 	pi := &pseudoInode{
 		firstCluster: cluster,
 		size:         size,
+		diskSize:     size,
 		isDir:        isDir,
 		refs:         1,
 		dirCluster:   ref.cluster,
@@ -111,7 +113,8 @@ func (f *FS) PseudoInodes() int {
 // identity still matches — no generation bump, because the name→cluster
 // mapping is unchanged). Caller holds pi.lock, which serializes size
 // publishes for this file. Caller must not call this for an unlinked
-// file (its slot is gone and possibly reused).
+// file (its slot is gone and possibly reused), and must have made the
+// chain covering pi.size durable first (see publishSize).
 func (f *FS) patchDirentSize(t *sched.Task, pi *pseudoInode) error {
 	ref := direntRef{cluster: pi.dirCluster, index: pi.dirIndex}
 	size := pi.size
@@ -120,8 +123,62 @@ func (f *FS) patchDirentSize(t *sched.Task, pi *pseudoInode) error {
 	}); err != nil {
 		return err
 	}
+	pi.diskSize = size
 	f.dc.FixSize(int64(pi.parent), pi.name, int64(pi.firstCluster), int64(size))
 	return nil
+}
+
+// errUnpublished refuses a size publish on a degraded mount. The cache
+// leaves an abandoned dirty buffer valid and clean, so no later flush
+// can tell whether a FAT link that an append set in it ever reached the
+// device; publishing a size over such a chain could leave a dirent whose
+// size exceeds its durable chain.
+var errUnpublished = fmt.Errorf("%w: writeback abandoned, file size not published", fs.ErrReadOnly)
+
+// publishSize brings the dirent up to an append's size: the extending
+// half of the ordered-writes discipline. An append only grows pi.size;
+// the size reaches the disk here, at fsync, close, sync(2)/unmount and
+// rename. First the FAT sectors that link the chain beyond the on-disk
+// size go durable, then the dirent is patched, so a crash can lose an
+// unpublished size (with its unsynced data) but never leave a published
+// size over a chain that does not back it. linked reports that the
+// caller has just forced every FAT sector of the chain durable (fsync's
+// first barrier), leaving only the patch. A failure latches the mount
+// read-only: the dentry cache already holds the live size, and later
+// mutation must not race ahead of a link that may never land. Caller
+// holds pi.lock.
+func (f *FS) publishSize(t *sched.Task, pi *pseudoInode, linked bool) (err error) {
+	if pi.size <= pi.diskSize || pi.unlinked || pi.dead {
+		return nil
+	}
+	defer func() {
+		if err != nil {
+			f.remountRO(err)
+		}
+	}()
+	if f.degraded.Load() {
+		return errUnpublished
+	}
+	if !linked {
+		clusters, err := f.chain(t, pi.firstCluster)
+		if err != nil {
+			return err
+		}
+		// The first n clusters already back the on-disk size, so the
+		// links that matter start at the entry of the last of them.
+		n := int((pi.diskSize + ClusterSize - 1) / ClusterSize)
+		n = min(max(n, 1), len(clusters))
+		var sectors []int
+		for _, c := range clusters[n-1:] {
+			if s := f.fatSector(c); len(sectors) == 0 || sectors[len(sectors)-1] != s {
+				sectors = append(sectors, s)
+			}
+		}
+		if err := f.orderedFlush(t, sectors...); err != nil {
+			return err
+		}
+	}
+	return f.patchDirentSize(t, pi)
 }
 
 // Open implements fs.FileSystem.
@@ -362,10 +419,10 @@ func (f *FS) Unlink(t *sched.Task, path string) error {
 	return err
 }
 
-// killPI poisons a pseudo-inode whose chain is gone, so surviving handles
-// fail cleanly instead of reading reallocated clusters, and drops it — and
-// its error stream — from the tables so the first cluster's next owner
-// gets a fresh identity. Caller holds pi.lock.
+// killPI poisons a pseudo-inode whose chain is being freed, so
+// surviving handles fail cleanly instead of reading reallocated clusters,
+// and drops it — and its error stream — from the tables so the first
+// cluster's next owner gets a fresh identity. Caller holds pi.lock.
 func (f *FS) killPI(pi *pseudoInode) {
 	pi.dead = true
 	f.mu.Lock()
@@ -377,8 +434,8 @@ func (f *FS) killPI(pi *pseudoInode) {
 }
 
 // disownPI finishes an unlink or rename-replace for an object whose dirent
-// is already durably gone. Holding the only reference, it frees the chain
-// and poisons the pseudo-inode inline; with other handles live it only
+// is already durably gone. Holding the only reference, it poisons the
+// pseudo-inode and frees the chain inline; with other handles live it only
 // marks the object unlinked — those descriptors keep working against the
 // still-allocated chain, and the last unpin reclaims it (deferred reclaim,
 // matching xv6fs). Caller holds pi.lock and a pin on pi.
@@ -394,9 +451,11 @@ func (f *FS) disownPI(t *sched.Task, pi *pseudoInode) error {
 		return f.orphanAdd(t, pi.firstCluster)
 	}
 	f.mu.Unlock()
-	err := f.freeChain(t, pi.firstCluster)
+	// Out of the tables before the chain is free: once it is, a create in
+	// another directory can claim the first cluster, and its pin must not
+	// find this pseudo-inode and share its poisoning.
 	f.killPI(pi)
-	return err
+	return f.freeChain(t, pi.firstCluster)
 }
 
 // gone reports whether the object has left the namespace — poisoned, or
@@ -554,12 +613,20 @@ func (f *FS) Rename(t *sched.Task, oldPath, newPath string) error {
 		f.unpin(t, pi)
 		return fail(err)
 	}
+	// The new entry carries pi.size, so publish it first: the links that
+	// back it go durable before any entry holds it.
+	if err := f.publishSize(t, pi, false); err != nil {
+		return failPI(err)
+	}
 	if terr == nil {
 		// Replace: validate typing, then repoint the target's entry — one
 		// sector-atomic patch of cluster/size/attr, the name is already
 		// newName — free the displaced chain and poison its pseudo-inode.
 		vpi := f.pin(tde.cluster, tde.attr&attrDir != 0, tde.size, tref, dp2.firstCluster, dcName(newName))
 		vpi.lock.LockNested(t)
+		// A rollback restores the target entry as the disk holds it, not
+		// with a live size the dentry cache may report.
+		tde.size = vpi.diskSize
 		failBoth := func(err error) error {
 			vpi.lock.Unlock()
 			f.unpin(t, vpi)
@@ -702,17 +769,43 @@ func (f *FS) Stat(t *sched.Task, path string) (fs.Stat, error) {
 	if de.attr&attrDir != 0 {
 		typ = fs.TypeDir
 	}
-	return fs.Stat{Name: name, Type: typ, Size: int64(de.size), Inode: uint64(de.cluster)}, nil
+	return fs.Stat{Name: name, Type: typ, Size: f.liveSize(t, de), Inode: uint64(de.cluster)}, nil
+}
+
+// liveSize reports a directory entry's size as the file's open handles
+// see it: a live pseudo-inode's size, which runs ahead of the dirent
+// until its appends are published (see publishSize), else the entry's
+// own. Caller holds the parent directory's lock, which ranks above the
+// file's.
+func (f *FS) liveSize(t *sched.Task, de *dirent83) int64 {
+	if de.attr&attrDir != 0 {
+		return int64(de.size)
+	}
+	f.mu.Lock()
+	pi, ok := f.pseudo[de.cluster]
+	if ok {
+		pi.refs++
+	}
+	f.mu.Unlock()
+	if !ok {
+		return int64(de.size)
+	}
+	pi.lock.LockNested(t)
+	size := pi.size
+	pi.lock.Unlock()
+	f.unpin(t, pi)
+	return int64(size)
 }
 
 // Sync is the volume's durability barrier. Metadata lands in the cache
 // under per-object locks, so Sync first drains in-flight operations by
 // taking each live pseudo-inode lock once — one at a time, never two held
-// together, so it cannot deadlock against parent→child holders — then
-// quiesces the FAT allocator while it persists the FSInfo sector (free
-// count + next-free hint) and runs the cache's Flush barrier: every dirty
-// buffer submitted and its completion awaited, with asynchronous
-// writeback errors from the daemon reported to this caller.
+// together, so it cannot deadlock against parent→child holders — and
+// publishes the size each file's appends left in memory (see
+// publishSize). Then it quiesces the FAT allocator while it persists the
+// FSInfo sector (free count + next-free hint) and runs the cache's Flush
+// barrier: every dirty buffer submitted and its completion awaited, with
+// asynchronous writeback errors from the daemon reported to this caller.
 func (f *FS) Sync(t *sched.Task) error {
 	f.mu.Lock()
 	live := make([]*pseudoInode, 0, len(f.pseudo))
@@ -722,13 +815,19 @@ func (f *FS) Sync(t *sched.Task) error {
 	}
 	f.mu.Unlock()
 	sort.Slice(live, func(i, j int) bool { return live[i].firstCluster < live[j].firstCluster })
+	var err error
 	for _, pi := range live {
 		pi.lock.Lock(t)
+		if perr := f.publishSize(t, pi, false); err == nil {
+			err = perr
+		}
 		pi.lock.Unlock()
 		f.unpin(t, pi)
 	}
 	f.fatLock.Lock(t)
-	err := f.writeFSInfoLocked(t)
+	if ierr := f.writeFSInfoLocked(t); err == nil {
+		err = ierr
+	}
 	if ferr := f.bc.Flush(t); err == nil {
 		err = ferr
 	}
@@ -789,7 +888,9 @@ func (fl *file) Pread(t *sched.Task, p []byte, off int64) (int, error) {
 
 // Pwrite implements fs.FileOps: write at an absolute offset — or, for
 // fs.OffAppend, at EOF resolved under the same pseudo-inode lock as the
-// write itself, making O_APPEND atomic across concurrent appenders.
+// write itself, making O_APPEND atomic across concurrent appenders. A
+// write that extends the file leaves its new size unpublished: the
+// dirent catches up at the next fsync, close, sync or rename.
 func (fl *file) Pwrite(t *sched.Task, p []byte, off int64) (int, int64, error) {
 	if err := fl.fsys.checkRW(); err != nil {
 		return 0, off, err
@@ -868,41 +969,18 @@ func (fl *file) Pwrite(t *sched.Task, p []byte, off int64) (int, int64, error) {
 		return done, off + int64(done), err
 	}
 	if end > int64(pi.size) {
-		// Ordered writes, extending direction: before the dirent's size
-		// patch can publish the new length, the FAT links that make the
-		// appended clusters part of the chain must be durable — a crash
-		// with the size out but the links not leaves a dirent whose size
-		// exceeds its chain, which strict fsck flags as corruption. Only
-		// the FAT sectors are forced, not the cached data: FAT32 promises
-		// metadata consistency across a crash, while data durability stays
-		// an fsync matter (unfsynced appends may read back stale or zero
-		// after a crash — the classic FAT contract). In-place overwrites
-		// (no chain growth) publish nothing new and skip the flush. An
-		// unlinked file has no dirent left to publish to: its size grows
-		// only in memory, and the FAT links need no barrier — a crash
-		// leaves the whole chain as a repairable leak either way.
-		if len(clusters) > origLen && !pi.unlinked {
-			fatSectors := make([]int, 0, len(clusters)-origLen+1)
-			last := -1
-			for _, c := range clusters[origLen-1:] {
-				s := fl.fsys.fatSector(c)
-				if s != last {
-					fatSectors = append(fatSectors, s)
-					last = s
-				}
-			}
-			if err := fl.fsys.orderedFlush(t, fatSectors...); err != nil {
-				rollback()
-				return done, off + int64(done), err
-			}
-		}
+		// An extending write grows the size in memory only, with no device
+		// write: the FAT links it set and the dirent's size reach the disk
+		// together at the next publish point (fsync, close, sync, rename;
+		// see publishSize), which orders the links first. Until then a
+		// crash loses the appended size along with the unsynced data it
+		// covers — the classic FAT contract — and leaves at worst an
+		// excess chain tail, which fsck repairs. The dentry cache and
+		// Stat see the live size at once. An unlinked file has no dirent
+		// left to publish to, so its name is not refreshed either.
 		pi.size = uint32(end)
-		// No size patch for an unlinked file: its dirent slot is gone and
-		// may already hold an unrelated entry.
 		if !pi.unlinked {
-			if err := fl.fsys.patchDirentSize(t, pi); err != nil {
-				return done, off + int64(done), err
-			}
+			fl.fsys.dc.FixSize(int64(pi.parent), pi.name, int64(pi.firstCluster), end)
 		}
 	}
 	return done, off + int64(done), nil
@@ -911,12 +989,13 @@ func (fl *file) Pwrite(t *sched.Task, p []byte, off int64) (int, int64, error) {
 // Sync implements fs.FileOps — the flush half of fsync. It writes back
 // this file's dirty data buffers (found through the pseudo-inode's
 // per-owner dirty list) plus every metadata sector the file's durability
-// depends on: the directory sector holding its entry (the size patch
-// lives there) and the FAT sectors covering its cluster chain — without
-// the chain links, data appended past the old tail would be durable but
-// unreachable. Error observation happens in the caller: the fs.OpenFile
-// observes its own per-open cursor against the pseudo-inode's stream, so
-// each descriptor hears a failure exactly once.
+// depends on: the FAT sectors covering its cluster chain — without the
+// chain links, data appended past the old tail would be durable but
+// unreachable — and then, once publishSize has patched in the appended
+// size, the directory sector holding its entry. Error observation
+// happens in the caller: the fs.OpenFile observes its own per-open
+// cursor against the pseudo-inode's stream, so each descriptor hears a
+// failure exactly once.
 func (fl *file) Sync(t *sched.Task) error {
 	f := fl.fsys
 	pi := fl.pi
@@ -950,10 +1029,12 @@ func (fl *file) Sync(t *sched.Task) error {
 			extra = append(extra, s)
 		}
 	}
-	// Ordered writes: data and FAT links first, the dirent sector (where
-	// the size patch lives) second — two barriers, so a crash between them
-	// leaves the old size over a complete chain, never a published size
-	// the chain or data doesn't back.
+	// Ordered writes: data and FAT links first, the size patch and the
+	// dirent sector (where it lives) second — two barriers, so a crash
+	// between them leaves the old size over a complete chain, never a
+	// published size the chain or data doesn't back. The first barrier
+	// already forced the whole chain's links, so the publish in between
+	// only patches.
 	if err := f.bc.FlushOwner(t, pi.wb, extra...); err != nil {
 		return err
 	}
@@ -961,19 +1042,31 @@ func (fl *file) Sync(t *sched.Task) error {
 	// is no size patch to force, so fsync through a surviving descriptor
 	// stops after data + FAT.
 	if !pi.isDir && !pi.unlinked && pi.dirCluster >= rootCluster {
+		if err := f.publishSize(t, pi, true); err != nil {
+			return err
+		}
 		sector, _ := f.direntLoc(direntRef{cluster: pi.dirCluster, index: pi.dirIndex})
 		return f.orderedFlush(t, sector)
 	}
 	return nil
 }
 
-// Close implements fs.FileOps: drop the pseudo-inode reference. The
-// OpenFile calls it exactly once, after the last descriptor closed and
-// the last in-flight operation drained. Closing the last handle of an
-// unlinked file is the deferred-reclaim point: unpin frees the chain, and
-// a reclaim failure (leaked clusters) surfaces here.
+// Close implements fs.FileOps: publish the size this handle's appends
+// left in memory (see publishSize), then drop the pseudo-inode
+// reference. The OpenFile calls it exactly once, after the last
+// descriptor closed and the last in-flight operation drained. Closing
+// the last handle of an unlinked file is the deferred-reclaim point:
+// unpin frees the chain, and a reclaim failure (leaked clusters)
+// surfaces here.
 func (fl *file) Close(t *sched.Task) error {
-	return fl.fsys.unpin(t, fl.pi)
+	pi := fl.pi
+	pi.lock.Lock(t)
+	err := fl.fsys.publishSize(t, pi, false)
+	pi.lock.Unlock()
+	if uerr := fl.fsys.unpin(t, pi); err == nil {
+		err = uerr
+	}
+	return err
 }
 
 // Stat implements fs.FileOps.
@@ -1005,7 +1098,7 @@ func (fl *file) ReadDir(t *sched.Task) ([]fs.DirEntry, error) {
 		if de.attr&attrDir != 0 {
 			typ = fs.TypeDir
 		}
-		out = append(out, fs.DirEntry{Name: from83(de.name), Type: typ, Size: int64(de.size)})
+		out = append(out, fs.DirEntry{Name: from83(de.name), Type: typ, Size: fl.fsys.liveSize(t, de)})
 		return true
 	})
 	return out, err

@@ -1,7 +1,9 @@
 // Benchmarks regenerating the paper's evaluation, one per table/figure
 // (see DESIGN.md §3 and EXPERIMENTS.md), plus ablations for the design
-// choices §5.2 calls out (memmove, YUV conversion, FAT32 range bypass,
-// fork strategy). Run: go test -bench=. -benchmem
+// choices §5.2 calls out (memmove, YUV conversion, fork strategy). The
+// FAT32 range-vs-bypass ablation lives with the filesystem, in
+// internal/kernel/fat32's BenchmarkRange{Read,Write}256K{Sharded,Bypass}.
+// Run: go test -bench=. -benchmem
 package main
 
 import (
@@ -12,7 +14,6 @@ import (
 	"protosim/internal/core"
 	"protosim/internal/hw"
 	"protosim/internal/kernel"
-	"protosim/internal/kernel/fat32"
 	"protosim/internal/kernel/fs"
 	"protosim/internal/kernel/mm"
 	"protosim/internal/user/apps/blockchain"
@@ -181,60 +182,13 @@ func benchDiskRead(b *testing.B, mode kernel.Mode) {
 
 // Proto's disk read path vs the xv6 baseline. Since the sharded cache
 // landed, the Proto column is a warm-cache read (the 256 KB file fits),
-// while the xv6 column runs a faithful 30-buffer single-shard cache with
-// per-sector commands — so the gap is much larger than the paper's 2–3×
+// while the xv6 column runs a faithful 30-buffer single-shard cache over
+// a depth-1 queue and an SD driver that splits every command into
+// per-sector ones — so the gap is much larger than the paper's 2–3×
 // device-path effect. The §5.2 range-vs-bypass *device* comparison lives
-// in BenchmarkRangeRead256K{Sharded,Bypass} below.
+// in internal/kernel/fat32's BenchmarkRangeRead256K{Sharded,Bypass}.
 func BenchmarkFig9DiskReadProto(b *testing.B) { benchDiskRead(b, kernel.ModeProto) }
 func BenchmarkFig9DiskReadXv6(b *testing.B)   { benchDiskRead(b, kernel.ModeXv6) }
-
-// --- Sharded cache vs the old direct-device bypass ---
-//
-// The bypass was the pre-sharded-cache fast path: range commands straight
-// to the SD card, no caching. The sharded cache issues the same coalesced
-// commands on a cold pass and serves repeats from memory, so it must be at
-// parity or better on every shape these benchmarks measure.
-
-func benchRangeIO(b *testing.B, write bool, path fat32.DataPath) {
-	sys := bootP5(b, 4, kernel.ModeProto)
-	sys.Kernel.FatFS.SetDataPath(path)
-	const fileSize = 256 << 10
-	inProc(b, sys, func(p *kernel.Proc) {
-		buf := make([]byte, fileSize)
-		fd, err := p.SysOpen("/d/range.bin", fs.OCreate|fs.ORdWr|fs.OTrunc)
-		if err != nil {
-			b.Error(err)
-			return
-		}
-		if _, err := p.SysWrite(fd, buf); err != nil {
-			b.Error(err)
-			return
-		}
-		b.SetBytes(fileSize)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.SysLseek(fd, 0, fs.SeekSet)
-			var n int
-			var err error
-			if write {
-				n, err = p.SysWrite(fd, buf)
-			} else {
-				n, err = p.SysRead(fd, buf)
-			}
-			if err != nil || n != fileSize {
-				b.Errorf("iteration %d: n=%d err=%v", i, n, err)
-				return
-			}
-		}
-		b.StopTimer()
-		p.SysClose(fd)
-	})
-}
-
-func BenchmarkRangeRead256KSharded(b *testing.B)  { benchRangeIO(b, false, fat32.DataPathRange) }
-func BenchmarkRangeRead256KBypass(b *testing.B)   { benchRangeIO(b, false, fat32.DataPathBypass) }
-func BenchmarkRangeWrite256KSharded(b *testing.B) { benchRangeIO(b, true, fat32.DataPathRange) }
-func BenchmarkRangeWrite256KBypass(b *testing.B)  { benchRangeIO(b, true, fat32.DataPathBypass) }
 
 // --- Table 5: app FPS ---
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"crypto/md5"
+	"math"
 	"sort"
 	"time"
 
@@ -34,7 +35,18 @@ func timeOps(n int, fn func(i int) error) (float64, error) {
 func fig9Benches() []fig9Bench {
 	return []fig9Bench{
 		{"getpid", func(p *kernel.Proc, _ *core.System) (float64, error) {
-			return timeOps(100000, func(int) error { p.SysGetPID(); return nil })
+			// One 100 000-call pass is about 1.5 ms of wall time, so a
+			// single host preemption can triple it: report the fastest of
+			// several passes.
+			best := math.Inf(1)
+			for pass := 0; pass < 5; pass++ {
+				ns, err := timeOps(100000, func(int) error { p.SysGetPID(); return nil })
+				if err != nil {
+					return 0, err
+				}
+				best = math.Min(best, ns)
+			}
+			return best, nil
 		}},
 		{"fork", func(p *kernel.Proc, _ *core.System) (float64, error) {
 			// Give the process a meaty image so fork has pages to copy —

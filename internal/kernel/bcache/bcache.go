@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"protosim/internal/kernel/blkq"
 	"protosim/internal/kernel/errseq"
 	"protosim/internal/kernel/fs"
 	"protosim/internal/kernel/ksync"
@@ -72,9 +73,8 @@ const (
 	giveUpWrites = 3
 
 	// readRetries is how many extra attempts devRead makes when the
-	// device reports a transient error. The request queue below already
-	// retries with backoff; this covers caches mounted straight on a
-	// device with no queue.
+	// device reports a transient error that the request queue below gave
+	// back (its own retry budget spent, or retries disabled).
 	readRetries = 2
 )
 
@@ -88,7 +88,7 @@ const (
 	// Flush. Repeated writes to the same blocks cost one writeback.
 	WritePolicyBehind WritePolicy = iota
 	// WritePolicyThrough: every WriteRange issues its device command
-	// before returning — the pre-queue synchronous baseline.
+	// and waits for it before returning — the synchronous baseline.
 	WritePolicyThrough
 )
 
@@ -220,11 +220,10 @@ func (s *shard) lruPopFront() *Buf {
 	return b
 }
 
-// Cache is the sharded buffer cache over one block device.
+// Cache is the sharded buffer cache over one block device's request
+// queue: every device command the cache issues goes through q.
 type Cache struct {
-	dev       fs.BlockDevice
-	tdev      fs.TaskBlockDevice   // non-nil when dev carries tasks (blkq)
-	qdev      fs.QueuedBlockDevice // non-nil when dev is a request queue
+	q         fs.QueuedBlockDevice
 	blockSize int
 	shards    []*shard
 	readahead int
@@ -286,7 +285,10 @@ func New(dev fs.BlockDevice, n int) *Cache {
 	return NewWithOptions(dev, Options{Buffers: n})
 }
 
-// NewWithOptions returns a cache configured by opts.
+// NewWithOptions returns a cache configured by opts. A device that is not
+// already a request queue gets one of its own, without anticipatory
+// plugging: a cache with no kernel timer source dispatches each request
+// as it comes, so its device traffic stays deterministic.
 func NewWithOptions(dev fs.BlockDevice, opts Options) *Cache {
 	bufs := opts.Buffers
 	if bufs <= 0 {
@@ -306,8 +308,12 @@ func NewWithOptions(dev fs.BlockDevice, opts Options) *Cache {
 	case ra < 0:
 		ra = 0
 	}
+	q, ok := dev.(fs.QueuedBlockDevice)
+	if !ok {
+		q = blkq.New(dev, blkq.Options{PlugDelay: -1})
+	}
 	c := &Cache{
-		dev:         dev,
+		q:           q,
 		blockSize:   dev.BlockSize(),
 		readahead:   ra,
 		writeBehind: opts.Policy == WritePolicyBehind,
@@ -315,8 +321,6 @@ func NewWithOptions(dev fs.BlockDevice, opts Options) *Cache {
 		stopCh:      make(chan struct{}),
 		doneCh:      make(chan struct{}),
 	}
-	c.tdev, _ = dev.(fs.TaskBlockDevice)
-	c.qdev, _ = dev.(fs.QueuedBlockDevice)
 	c.onGiveUp = opts.OnGiveUp
 	ratio := opts.WritebackRatio
 	switch {
@@ -354,32 +358,18 @@ func NewWithOptions(dev fs.BlockDevice, opts Options) *Cache {
 	return c
 }
 
-// devRead issues a device read, threading the task through when the
-// device layer can use it (the request queue sleeps the task until the
-// completion IRQ). Transient device errors are retried a bounded number
-// of times — persistent ones (bad sector, dead device) are not, since
-// retrying cannot help.
+// devRead issues a device read through the request queue, which sleeps
+// the task until the completion IRQ. Transient device errors are retried
+// a bounded number of times — persistent ones (bad sector, dead device)
+// are not, since retrying cannot help.
 func (c *Cache) devRead(t *sched.Task, lba, n int, dst []byte) error {
 	for attempt := 0; ; attempt++ {
-		var err error
-		if c.tdev != nil {
-			err = c.tdev.ReadBlocksT(t, lba, n, dst)
-		} else {
-			err = c.dev.ReadBlocks(lba, n, dst)
-		}
+		err := c.q.ReadBlocksT(t, lba, n, dst)
 		if err == nil || attempt >= readRetries || !errors.Is(err, fs.ErrSDInjected) {
 			return err
 		}
 		c.readRetried.Add(1)
 	}
-}
-
-// devWrite is devRead's write twin.
-func (c *Cache) devWrite(t *sched.Task, lba, n int, src []byte) error {
-	if c.tdev != nil {
-		return c.tdev.WriteBlocksT(t, lba, n, src)
-	}
-	return c.dev.WriteBlocks(lba, n, src)
 }
 
 func (c *Cache) shard(lba int) *shard { return c.shards[lba%len(c.shards)] }
@@ -396,9 +386,10 @@ func (c *Cache) Buffers() int {
 	return n
 }
 
-// Device exposes the underlying block device. The FAT32 benchmark-baseline
-// bypass and raw /dev block files use it; normal IO goes through the cache.
-func (c *Cache) Device() fs.BlockDevice { return c.dev }
+// Device exposes the request queue the cache issues its commands through.
+// The journal writes its install-from-log blocks through it; normal IO
+// goes through the cache.
+func (c *Cache) Device() fs.QueuedBlockDevice { return c.q }
 
 // Get returns the locked buffer holding block lba, reading it from the
 // device on a miss. The caller must Release it. Concurrent Gets of the same
@@ -600,35 +591,15 @@ func (c *Cache) pin(t *sched.Task, lba int) (*Buf, error) {
 		// Dirty victim, no daemon: write it back while it stays in the map
 		// (pinned), then retry. A racing Get of the victim's block pins it
 		// too and waits on its sleeplock, so it observes the cached data,
-		// never a stale device copy.
+		// never a stale device copy. A failure advances the victim's error
+		// streams — the caller here is some unlucky evictor, and the file
+		// whose data failed to land must still hear it at fsync — and an
+		// unwritable victim is given up, so eviction does not keep
+		// tripping over the same doomed buffer.
 		v.refs = 1
 		s.mu.Unlock()
-		v.lock.Lock(t)
-		var err error
-		owner := v.owner
-		wrote := v.dirty && v.valid
-		if wrote {
-			err = c.devWrite(t, v.lba, 1, v.Data)
-			if err != nil {
-				// The error advances the victim's error streams: the caller
-				// here is some unlucky evictor, not the file whose data
-				// failed to land, and that file's fsync must still hear it.
-				// An unwritable victim is given up there, so eviction does
-				// not keep tripping over the same doomed buffer.
-				c.writebackFailed(v, err)
-			}
-		}
+		err := c.flushQueued(t, []int{v.lba}, false)
 		s.mu.Lock()
-		if wrote && err == nil {
-			v.dirty = false
-			v.fails = 0
-			if owner != nil {
-				owner.removeDirty(v.lba)
-			}
-			c.dirty.Add(-1)
-			c.writebacks.Add(1)
-		}
-		v.lock.Unlock()
 		v.refs--
 		if v.refs == 0 {
 			// Front, not back: the cleaned victim should be the next
@@ -896,7 +867,7 @@ func (c *Cache) readSegment(t *sched.Task, lba, n int, dst []byte) (int, error) 
 // best-effort: errors are ignored.
 func (c *Cache) readAhead(t *sched.Task, start int) {
 	ra := c.readahead
-	if max := c.dev.Blocks(); start+ra > max {
+	if max := c.q.Blocks(); start+ra > max {
 		ra = max - start
 	}
 	if sm := c.segmentMax(); ra > sm {
@@ -973,7 +944,7 @@ func (c *Cache) writeSegment(t *sched.Task, lba, n int, src []byte, o *Owner) er
 		c.releaseSegment(sp)
 		return nil
 	}
-	if err = c.devWrite(t, lba, n, src); err == nil {
+	if err = c.q.WriteBlocksT(t, lba, n, src); err == nil {
 		// The device holds the new data; make every cached copy match,
 		// clean. On error, invalid buffers stay invalid (a later Get
 		// re-reads the device) and valid ones keep their old contents.
@@ -1040,10 +1011,7 @@ func (c *Cache) FlushOwner(t *sched.Task, o *Owner, extra ...int) error {
 		return nil
 	}
 	sort.Ints(dirty)
-	if c.qdev != nil {
-		return c.flushQueued(t, dirty, false)
-	}
-	return c.flushSync(t, dirty)
+	return c.flushQueued(t, dirty, false)
 }
 
 // FlushBlocks writes back exactly the named blocks (deduplicated, in
@@ -1068,20 +1036,16 @@ func (c *Cache) FlushBlocks(t *sched.Task, lbas []int, plugged bool) error {
 			dirty = append(dirty, lba)
 		}
 	}
-	if c.qdev != nil {
-		return c.flushQueued(t, dirty, plugged)
-	}
-	return c.flushSync(t, dirty)
+	return c.flushQueued(t, dirty, plugged)
 }
 
-// flushDirty writes every currently-dirty buffer back. Over a request
-// queue it is "submit all, wait for all completions": each window's
-// blocks are submitted asynchronously under a plug so the elevator merges
-// them into multi-block commands and up to the queue depth overlap at the
-// device. On a plain device, contiguous runs are assembled and written
-// synchronously, one command per run. Every write failure is recorded in
-// the failing buffer's error streams (owner + device-wide) as well as
-// returned, so fsync observers hear about it no matter who ran the flush.
+// flushDirty writes every currently-dirty buffer back: "submit all, wait
+// for all completions" — each window's blocks are submitted asynchronously
+// under a plug so the elevator merges them into multi-block commands and
+// up to the queue depth overlap at the device. Every write failure is
+// recorded in the failing buffer's error streams (owner + device-wide) as
+// well as returned, so fsync observers hear about it no matter who ran the
+// flush.
 func (c *Cache) flushDirty(t *sched.Task) error {
 	var dirty []int
 	for _, s := range c.shards {
@@ -1097,10 +1061,7 @@ func (c *Cache) flushDirty(t *sched.Task) error {
 		return nil
 	}
 	sort.Ints(dirty)
-	if c.qdev != nil {
-		return c.flushQueued(t, dirty, true)
-	}
-	return c.flushSync(t, dirty)
+	return c.flushQueued(t, dirty, true)
 }
 
 // flushQueued writes the given dirty blocks back over the request queue.
@@ -1114,8 +1075,8 @@ func (c *Cache) flushDirty(t *sched.Task) error {
 // not submit are released as soon as submission ends. The call returns
 // only after every submitted write has completed. When plugged, each
 // window's submissions go out under an explicit Plug/Unplug bracket (the
-// batch assemblers: Flush, the daemon); FlushOwner passes false and leans
-// on the queue's anticipatory plug.
+// batch assemblers: Flush, the daemon); FlushOwner and the daemon-less
+// eviction write pass false and lean on the queue's anticipatory plug.
 func (c *Cache) flushQueued(t *sched.Task, dirty []int, plugged bool) error {
 	var firstErr error
 	type sub struct {
@@ -1140,7 +1101,7 @@ func (c *Cache) flushQueued(t *sched.Task, dirty []int, plugged bool) error {
 		var idle []*Buf // locked but not submitted
 		runs := 0
 		if plugged {
-			c.qdev.Plug(t)
+			c.q.Plug(t)
 		}
 		for k, b := range bufs {
 			if !b.dirty || !b.valid || b.nosteal {
@@ -1150,7 +1111,7 @@ func (c *Cache) flushQueued(t *sched.Task, dirty []int, plugged bool) error {
 			if k == 0 || bufs[k-1].lba != b.lba-1 {
 				runs++ // contiguous-run accounting (flushBatches)
 			}
-			tk, err := c.qdev.SubmitWrite(t, b.lba, 1, b.Data)
+			tk, err := c.q.SubmitWrite(t, b.lba, 1, b.Data)
 			if err != nil {
 				c.writebackFailed(b, err)
 				if firstErr == nil {
@@ -1162,7 +1123,7 @@ func (c *Cache) flushQueued(t *sched.Task, dirty []int, plugged bool) error {
 			subs = append(subs, sub{b: b, tk: tk})
 		}
 		if plugged {
-			c.qdev.Unplug(t)
+			c.q.Unplug(t)
 		}
 		// Released only now, not inside the loop: the run accounting
 		// reads the previous buffer's LBA.
@@ -1189,74 +1150,6 @@ func (c *Cache) flushQueued(t *sched.Task, dirty []int, plugged bool) error {
 		c.flushBatches.Add(int64(runs))
 	}
 	return firstErr
-}
-
-// flushSync writes the given dirty blocks back on a plain synchronous
-// device: they are gathered into contiguous runs and each run goes out as
-// one device command, so flushing a burst of FAT-sector updates costs one
-// command setup rather than one per sector.
-func (c *Cache) flushSync(t *sched.Task, dirty []int) error {
-	bs := c.blockSize
-	scratch := c.scratchPool.Get().(*[]byte)
-	defer c.scratchPool.Put(scratch)
-	for i := 0; i < len(dirty); {
-		j := i + 1
-		for j < len(dirty) && dirty[j] == dirty[j-1]+1 && j-i < maxWritebackRun {
-			j++
-		}
-		// Pin and lock the run in ascending LBA order (a consistent order
-		// keeps concurrent flushers deadlock-free), skipping blocks that
-		// were evicted (and thus written back) since the snapshot.
-		bufs := make([]*Buf, 0, j-i)
-		for _, lba := range dirty[i:j] {
-			b := c.tryPin(lba)
-			if b == nil {
-				continue
-			}
-			b.lock.Lock(t)
-			bufs = append(bufs, b)
-		}
-		// Write contiguous still-dirty sub-runs with single commands.
-		var err error
-		for k := 0; k < len(bufs) && err == nil; {
-			if !bufs[k].dirty || !bufs[k].valid || bufs[k].nosteal {
-				k++
-				continue
-			}
-			m := k + 1
-			for m < len(bufs) && bufs[m].lba == bufs[m-1].lba+1 && bufs[m].dirty && bufs[m].valid && !bufs[m].nosteal {
-				m++
-			}
-			for x := k; x < m; x++ {
-				copy((*scratch)[(x-k)*bs:], bufs[x].Data)
-			}
-			if err = c.devWrite(t, bufs[k].lba, m-k, (*scratch)[:(m-k)*bs]); err == nil {
-				c.writebacks.Add(int64(m - k))
-				c.flushBatches.Add(1)
-				for x := k; x < m; x++ {
-					bufs[x].fails = 0
-					c.setFlags(bufs[x], true, false)
-				}
-			} else {
-				// Advance every member's error streams so each owning
-				// file's fsync hears about its own; members stay dirty
-				// until their failure budget runs out.
-				for x := k; x < m; x++ {
-					c.writebackFailed(bufs[x], err)
-				}
-			}
-			k = m
-		}
-		for _, b := range bufs {
-			b.lock.Unlock()
-			c.unpin(b)
-		}
-		if err != nil {
-			return err
-		}
-		i = j
-	}
-	return nil
 }
 
 // --- asynchronous writeback error streams ---
@@ -1318,8 +1211,11 @@ func (c *Cache) WritebackErrPending() bool { return c.devErr.Pending() }
 // a plain goroutine with a nil task. It flushes dirty buffers whenever
 // the dirty ratio crosses Options.WritebackRatio (MarkDirty/WriteRange
 // kick it) and at least every Options.FlushInterval (the age bound).
-// While it runs, eviction hands dirty victims to it instead of writing
-// them inline.
+// A kicked pass writes back what was dirty when it began; writes that
+// keep the count at or above the trigger kick again, so kicks bring the
+// count below the trigger and the age bound covers the rest. While it
+// runs, eviction hands dirty victims to it instead of writing them
+// inline.
 //
 // after schedules a wakeup through the kernel's timer source (nil with a
 // nil task: host timers are used). RunDaemon returns after StopDaemon.
@@ -1411,24 +1307,6 @@ func (c *Cache) DirtyBuffers() int64 { return c.dirty.Load() }
 
 // WriteBehind reports whether the cache runs the write-behind policy.
 func (c *Cache) WriteBehind() bool { return c.writeBehind }
-
-// Invalidate drops every clean, unreferenced buffer. Callers that are
-// about to route IO around the cache (the FAT32 benchmark bypass) use it
-// so no stale copy can be served — or survive — across the switch; dirty
-// and pinned buffers are kept (Flush first for a full drop).
-func (c *Cache) Invalidate() {
-	for _, s := range c.shards {
-		s.mu.Lock()
-		for lba, b := range s.bufs {
-			if b.refs == 0 && !(b.dirty && b.valid) {
-				s.lruRemove(b)
-				delete(s.bufs, lba)
-				s.n--
-			}
-		}
-		s.mu.Unlock()
-	}
-}
 
 // Stats reports single-block cache behaviour: hits, misses (device block
 // reads), evictions, and blocks written back (eviction + flush).

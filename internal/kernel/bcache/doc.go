@@ -30,9 +30,18 @@
 // buffers in the cache and return without touching the device; repeated
 // writes to a still-dirty block cost one eventual writeback. The device
 // catches up at daemon writeback, eviction handoff, or a Flush barrier.
-// WritePolicyThrough issues every write's device command before returning
-// — the synchronous baseline the paper's measurements compare against —
-// and is what kernel.ModeXv6 runs.
+// WritePolicyThrough issues every WriteRange's device command before
+// returning — the synchronous baseline the paper's measurements compare
+// against — and is what kernel.ModeXv6 runs, over a depth-1 queue.
+//
+// # One route to the device
+//
+// Every device command the cache issues goes through a blkq request
+// queue. A cache built over a device that is not already a queue fronts
+// it with one of its own (no anticipatory plug, so a cache without the
+// kernel's timers dispatches deterministically); the kernel passes its
+// own queues in. Reads, write-through writes and every writeback path —
+// Flush, FlushOwner, FlushBlocks, the daemon and eviction — share it.
 //
 // # The writeback daemon and the eviction handoff
 //
@@ -45,16 +54,22 @@
 // transient-full retry — a writer never stalls behind another file's
 // writeback, and the daemon (not a random evictor) pays the device wait.
 // Without a daemon (write-through configurations, tests), eviction of a
-// dirty victim writes it back inline while the victim stays mapped and
-// pinned, so a concurrent Get can never read a stale device copy.
+// dirty victim writes it back through the same queued writeback path as
+// a one-block flush, while the victim stays mapped and pinned, so a
+// concurrent Get can never read a stale device copy.
+//
+// The ratio trigger's contract is Linux's dirty_background_ratio: a
+// kicked pass writes back what was dirty when it started, and every
+// dirtying that leaves the count at or above the trigger kicks again, so
+// kicks drive the count below the trigger. Blocks dirtied once the count
+// is back under it wait for the age interval.
 //
 // # Flush, fsync, and errseq error semantics
 //
 // Flush is the whole-device durability barrier (volume Sync, unmount,
-// SysSync): every dirty buffer is written back — over a request queue the
-// blocks are submitted asynchronously under an explicit plug and the
-// elevator merges them; on a plain device contiguous runs go out one
-// command each — and every completion is awaited before return.
+// SysSync): every dirty buffer is written back — the blocks are submitted
+// asynchronously under an explicit plug and the elevator merges them —
+// and every completion is awaited before return.
 // FlushOwner is the per-file flush (the work half of fsync): it writes
 // back only the buffers tagged with one file's Owner token (plus
 // caller-named metadata blocks), found through the Owner's own dirty

@@ -18,7 +18,9 @@ import (
 )
 
 // TestReadRetryAbsorbsTransient: a transient device read error under a
-// cache miss is retried inside devRead and never reaches the caller.
+// cache miss is retried inside devRead and never reaches the caller. The
+// queue's own retries are off, so the errors reach the cache (a default
+// queue would absorb them first).
 func TestReadRetryAbsorbsTransient(t *testing.T) {
 	rd := fs.NewRamdisk(512, 64)
 	want := bytes.Repeat([]byte{0x77}, 512)
@@ -26,7 +28,8 @@ func TestReadRetryAbsorbsTransient(t *testing.T) {
 		t.Fatal(err)
 	}
 	fd := hw.NewFaultDisk(rd, hw.FaultPlan{Seed: 1})
-	c := NewWithOptions(fd, Options{Buffers: 16, Shards: 2, Readahead: -1})
+	q := blkq.New(fd, blkq.Options{PlugDelay: -1, MaxRetries: -1})
+	c := NewWithOptions(q, Options{Buffers: 16, Shards: 2, Readahead: -1})
 	fd.InjectTransient(5, 2)
 	got := make([]byte, 512)
 	if err := c.ReadRange(nil, 5, 1, got); err != nil {

@@ -289,30 +289,53 @@ func TestFlushOwnerSelective(t *testing.T) {
 	}
 }
 
-// TestDaemonFlushesByRatio checks the dirty-ratio trigger: crossing it
-// wakes the daemon without waiting for the age interval.
+// TestDaemonFlushesByRatio checks the dirty-ratio trigger's contract:
+// crossing it wakes the daemon without waiting for the age interval, and
+// kicked passes write back until the dirty count is below the trigger.
+// Blocks dirtied during a kicked pass after the count has fallen under
+// the trigger send no kick; they are the age interval's job, so the test
+// does not wait for zero.
 func TestDaemonFlushesByRatio(t *testing.T) {
+	const buffers, ratio, writes = 32, 25, 16
+	const trigger = buffers * ratio / 100
 	rd := fs.NewRamdisk(512, 256)
-	c := NewWithOptions(rd, Options{Buffers: 32, Shards: 2, Readahead: -1,
-		WritebackRatio: 25, FlushInterval: time.Hour}) // interval can't fire in-test
+	c := NewWithOptions(rd, Options{Buffers: buffers, Shards: 2, Readahead: -1,
+		WritebackRatio: ratio, FlushInterval: time.Hour}) // interval can't fire in-test
 	go c.RunDaemon(nil, nil)
 	defer c.StopDaemon()
 
-	src := make([]byte, 512)
-	for lba := 0; lba < 16; lba++ { // 16 > 32*25%
+	src := bytes.Repeat([]byte{0x5a}, 512)
+	for lba := 0; lba < writes; lba++ { // writes > trigger
 		if err := c.WriteRange(nil, lba, 1, src); err != nil {
 			t.Fatal(err)
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for c.DirtyBuffers() > 0 {
+	dirty := c.DirtyBuffers()
+	for dirty >= trigger {
 		if time.Now().After(deadline) {
-			t.Fatalf("ratio kick never flushed: %d dirty", c.DirtyBuffers())
+			t.Fatalf("ratio kick never brought the dirty count under the trigger: %d dirty, trigger %d", dirty, trigger)
 		}
 		time.Sleep(time.Millisecond)
+		dirty = c.DirtyBuffers()
 	}
 	if c.DaemonFlushes() == 0 {
 		t.Fatal("no daemon pass recorded")
+	}
+	// A block leaves the dirty count only after its write completed, so
+	// every block not counted dirty above is on the device now.
+	landed := 0
+	got := make([]byte, 512)
+	for lba := 0; lba < writes; lba++ {
+		if err := rd.ReadBlocks(lba, 1, got); err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(got, src) {
+			landed++
+		}
+	}
+	if landed < writes-int(dirty) {
+		t.Fatalf("%d of %d blocks on the device with %d still dirty", landed, writes, dirty)
 	}
 }
 

@@ -1,9 +1,11 @@
 package kernel
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
+	"protosim/internal/kernel/fat32"
 	"protosim/internal/kernel/fs"
 	"protosim/internal/kernel/xv6fs"
 )
@@ -129,4 +131,97 @@ func readProc(t *testing.T, k *Kernel, name string) string {
 		}
 	}
 	return sb.String()
+}
+
+// TestXv6ModeBlockLayer pins how ModeXv6 expresses the xv6 baseline: both
+// devices sit behind depth-1 request queues that never anticipate, and
+// the SD driver under sd0 issues one card command per sector, so a cold
+// 256 KiB FAT32 read costs 512 SD commands.
+func TestXv6ModeBlockLayer(t *testing.T) {
+	const size = 256 << 10
+	m := testMachine(2)
+	sd := sdBlockDev{m.SD}
+	if err := fat32Mkfs(sd); err != nil {
+		t.Fatal(err)
+	}
+	// Write the file before boot, so the kernel's cache starts cold.
+	payload := make([]byte, size)
+	for i := range payload {
+		payload[i] = byte(i * 11)
+	}
+	pre, err := fat32.Mount(sd, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops, err := pre.Open(nil, "/cold.bin", fs.OCreate|fs.OWrOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	of := fs.NewOpenFile(ops, fs.OWrOnly)
+	if _, err := of.Write(nil, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := of.Close(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := pre.Sync(nil); err != nil {
+		t.Fatal(err)
+	}
+
+	rd, _ := xv6fs.BuildImage(1024, 64, nil)
+	cfg := fullConfig(m, rd.Image())
+	cfg.EnableFAT = true
+	cfg.Mode = ModeXv6
+	k := New(cfg)
+	if err := k.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	defer k.Shutdown()
+
+	var cmds, blocks uint64
+	code := run(t, k, "reader", func(p *Proc, _ []string) int {
+		fd, err := p.SysOpen("/d/cold.bin", fs.ORdOnly)
+		if err != nil {
+			return 1
+		}
+		c0, r0, _, _ := m.SD.Stats()
+		got := make([]byte, size)
+		for n := 0; n < size; {
+			k, err := p.SysRead(fd, got[n:])
+			if err != nil || k == 0 {
+				return 2
+			}
+			n += k
+		}
+		c1, r1, _, _ := m.SD.Stats()
+		cmds, blocks = c1-c0, r1-r0
+		if !bytes.Equal(got, payload) {
+			return 3
+		}
+		if p.SysClose(fd) != nil {
+			return 4
+		}
+		return 0
+	})
+	if code != 0 {
+		t.Fatalf("reader exit = %d", code)
+	}
+	t.Logf("cold read: %d SD commands, %d blocks", cmds, blocks)
+	if cmds != size/fat32.SectorSize {
+		t.Fatalf("cold 256 KiB read cost %d SD commands (%d blocks), want %d",
+			cmds, blocks, size/fat32.SectorSize)
+	}
+
+	stats := readProc(t, k, "diskstats")
+	for _, dev := range []string{"sd0", "rd0"} {
+		var line string
+		for _, l := range strings.Split(stats, "\n") {
+			if strings.HasPrefix(l, dev+".q ") {
+				line = l
+			}
+		}
+		if !strings.Contains(line, " depth=1 ") || !strings.Contains(line, " plug_hits=0 ") {
+			t.Fatalf("%s queue is not the xv6 baseline's (depth 1, no anticipation): %q\n%s", dev, line, stats)
+		}
+	}
 }

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"protosim/internal/kernel/bcache"
+	"protosim/internal/kernel/blkq"
 	"protosim/internal/kernel/crash"
 	"protosim/internal/kernel/dcache"
 	"protosim/internal/kernel/fat32"
@@ -428,27 +429,39 @@ const fatSectors = 4096 // 2 MB volume
 var fatCache = bcache.Options{Buffers: 512, Shards: 4, Readahead: -1,
 	FlushInterval: time.Hour, WritebackRatio: -1}
 
+// xv6Cache and xv6Queue are kernel.ModeXv6's block layer: xv6's NBUF
+// single-shard write-through cache over a depth-1 queue that never
+// anticipates.
+var (
+	xv6Cache = bcache.Options{Buffers: bcache.Xv6Buffers, Shards: 1, Readahead: -1,
+		Policy: bcache.WritePolicyThrough}
+	xv6Queue = blkq.Options{Depth: 1, PlugDelay: -1}
+)
+
 func recordFat(t *testing.T, seed int64, nOps int) *crash.Recorder {
-	return recordFatPath(t, seed, nOps, fat32.DataPathRange)
+	return recordFatStack(t, seed, nOps, fatCache, nil)
 }
 
-// recordFatPath records the workload with file data flowing through the
-// given data path (metadata always goes through the cache): the
-// single-block and bypass baselines order their device writes
-// differently from the default coalesced range path, so each gets its
-// own crash sweep.
-func recordFatPath(t *testing.T, seed int64, nOps int, dp fat32.DataPath) *crash.Recorder {
+// recordFatStack records the workload on a mount with the given cache
+// options, over a request queue built with qopts (nil: the cache's own
+// default queue). The xv6 baseline's write-through cache orders its
+// device writes differently from the default write-behind stack, so each
+// gets its own crash sweep.
+func recordFatStack(t *testing.T, seed int64, nOps int, copts bcache.Options, qopts *blkq.Options) *crash.Recorder {
 	t.Helper()
 	rd := fs.NewRamdisk(fat32.SectorSize, fatSectors)
 	if err := fat32.Mkfs(rd); err != nil {
 		t.Fatal(err)
 	}
 	rec := crash.NewRecorder(rd)
-	fsys, err := fat32.MountWith(rec, nil, fatCache)
+	var dev fs.BlockDevice = rec
+	if qopts != nil {
+		dev = blkq.New(rec, *qopts)
+	}
+	fsys, err := fat32.MountWith(dev, nil, copts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsys.SetDataPath(dp)
 	fsys.SetDcache(newDC())
 	workload(t, fsys, rand.New(rand.NewSource(seed)), nOps)
 	return rec
@@ -524,26 +537,23 @@ func TestCrashFAT32(t *testing.T) {
 	}
 }
 
-// TestCrashFAT32DataPaths sweeps the same crash-point fuzz over the two
-// measurement-baseline data paths (single-block cached loop, and direct-
-// device bypass). Only the default range path was crash-tested before;
-// the baselines put data on the device in a different order relative to
-// the ordered metadata writes — the bypass path in particular hits the
-// device before any cache flush — and every prefix must still verify,
-// repair, and take live traffic.
-func TestCrashFAT32DataPaths(t *testing.T) {
+// TestCrashFAT32Xv6Stack sweeps the same crash-point fuzz over the xv6
+// baseline's block layer (kernel.ModeXv6's cache and queue options). Its
+// write-through cache puts file data on the device at write time, ahead
+// of the ordered metadata writes a write-behind cache would batch, and
+// its 30 buffers force eviction writeback of dirty metadata; every prefix
+// must still verify, repair, and take live traffic.
+func TestCrashFAT32Xv6Stack(t *testing.T) {
 	nOps, nPoints := 60, 25
 	if testing.Short() {
 		nOps, nPoints = 25, 6
 	}
-	for _, dp := range []fat32.DataPath{fat32.DataPathSingleBlock, fat32.DataPathBypass} {
-		for _, seed := range seeds(t) {
-			rec := recordFatPath(t, seed, nOps, dp)
-			rng := rand.New(rand.NewSource(seed + 2))
-			base := rec.ImageAt(0)
-			for _, k := range points(rng, rec.Writes(), nPoints, direntPoints(rec, base)) {
-				verifyFat(t, rec.ImageAt(k), fmt.Sprintf("path %s seed %d point %d/%d", dp, seed, k, rec.Writes()))
-			}
+	for _, seed := range seeds(t) {
+		rec := recordFatStack(t, seed, nOps, xv6Cache, &xv6Queue)
+		rng := rand.New(rand.NewSource(seed + 2))
+		base := rec.ImageAt(0)
+		for _, k := range points(rng, rec.Writes(), nPoints, direntPoints(rec, base)) {
+			verifyFat(t, rec.ImageAt(k), fmt.Sprintf("xv6 stack seed %d point %d/%d", seed, k, rec.Writes()))
 		}
 	}
 }

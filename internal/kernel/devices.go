@@ -17,12 +17,12 @@ import (
 
 // BlockIO is the kernel's single entry point to a block device: every
 // filesystem mounts over one of these (the ramdisk under xv6fs, the SD
-// card under FAT32), so all block traffic — cached, range, or baseline
-// bypass — funnels through here and is accounted uniformly. When the
-// device has split submit/completion halves (the SD card), BlockIO
-// forwards them so a blkq request queue stacked on top can drive the
-// async path; the queue is registered back here (SetQueue) so its
-// merge/depth statistics ride the same /proc/diskstats node as the
+// card under FAT32), so all block traffic — the request queue's commands
+// and raw /dev reads — funnels through here and is accounted uniformly.
+// When the device has split submit/completion halves (the SD card),
+// BlockIO forwards them so the blkq request queue stacked on top can
+// drive the async path; the queue is registered back here (SetQueue) so
+// its merge/depth statistics ride the same /proc/diskstats node as the
 // command counts. /dev/<name> exposes the raw (read-only) device.
 type BlockIO struct {
 	name string

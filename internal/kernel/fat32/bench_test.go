@@ -115,3 +115,76 @@ func runParallelReads(b *testing.B, f *FS, workers, fileSize int) {
 		wg.Wait()
 	}
 }
+
+// --- §5.2: cached range IO vs the old direct-device bypass ---
+//
+// The bypass was the pre-sharded-cache fast path: the file's contiguous
+// cluster runs sent as range commands straight to the SD card, no
+// caching. It survives only here, as the baseline the cached path is
+// measured against: the cache issues the same coalesced commands on a
+// cold pass and serves repeats from memory, so it must be at parity or
+// better on every shape these benchmarks measure.
+
+func BenchmarkRangeRead256KSharded(b *testing.B)  { benchRange256K(b, false, false) }
+func BenchmarkRangeRead256KBypass(b *testing.B)   { benchRange256K(b, false, true) }
+func BenchmarkRangeWrite256KSharded(b *testing.B) { benchRange256K(b, true, false) }
+func BenchmarkRangeWrite256KBypass(b *testing.B)  { benchRange256K(b, true, true) }
+
+// benchRange256K moves one 256 KiB file per iteration at the SD card's
+// full latency model, through the mount's cache or, bypassing it, as the
+// file's clusterRuns issued at the raw card.
+func benchRange256K(b *testing.B, write, bypass bool) {
+	const fileSize = 256 << 10
+	sd := hw.NewSDCard(16384, hw.NewIRQController(1))
+	sd.SetLatencyScale(0)
+	dev := sdDev{sd}
+	if err := Mkfs(dev); err != nil {
+		b.Fatal(err)
+	}
+	f, err := Mount(dev, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ops, err := f.Open(nil, "/range.bin", fs.OCreate|fs.ORdWr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fl := fs.NewOpenFile(ops, fs.ORdWr)
+	buf := make([]byte, fileSize)
+	if _, err := fl.Write(nil, buf); err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Sync(nil); err != nil {
+		b.Fatal(err)
+	}
+	clusters, err := f.chain(nil, ops.(*file).pi.firstCluster)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sd.SetLatencyScale(1)
+	b.SetBytes(fileSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		switch {
+		case bypass:
+			// The file is whole clusters, so every run is aligned.
+			_, err = f.clusterRuns(clusters, 0, fileSize, nil, func(ci, run int) error {
+				sector, n := f.clusterSector(clusters[ci]), run*SectorsPerCluster
+				p := buf[ci*ClusterSize : (ci+run)*ClusterSize]
+				if write {
+					return dev.WriteBlocks(sector, n, p)
+				}
+				return dev.ReadBlocks(sector, n, p)
+			})
+		case write:
+			_, err = fl.Pwrite(nil, buf, 0)
+		default:
+			_, err = fl.Pread(nil, buf, 0)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	fl.Close(nil)
+}

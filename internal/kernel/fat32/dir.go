@@ -109,7 +109,7 @@ func (f *FS) scanDir(t *sched.Task, dirCluster uint32, fn func(de *dirent83, ref
 	}
 	buf := make([]byte, ClusterSize)
 	for _, c := range clusters {
-		if err := f.readClusterCached(t, c, buf); err != nil {
+		if err := f.bc.ReadRange(t, f.clusterSector(c), SectorsPerCluster, buf); err != nil {
 			return err
 		}
 		for i := 0; i < ClusterSize/direntSize; i++ {
@@ -165,7 +165,7 @@ func (f *FS) addDirent(t *sched.Task, dirCluster uint32, de *dirent83) (direntRe
 	}
 	buf := make([]byte, ClusterSize)
 	for _, c := range clusters {
-		if err := f.readClusterCached(t, c, buf); err != nil {
+		if err := f.bc.ReadRange(t, f.clusterSector(c), SectorsPerCluster, buf); err != nil {
 			return direntRef{}, err
 		}
 		for i := 0; i < ClusterSize/direntSize; i++ {

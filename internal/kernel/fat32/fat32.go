@@ -12,12 +12,12 @@
 //
 // Historically the range path bypassed the single-block buffer cache
 // because the cache could not express multi-block operations. The sharded
-// bcache now supports range reads/writes natively, so all IO — data and
-// metadata — flows through one cache (DataPathRange, the default). The two
-// older paths survive only as measurement baselines: DataPathSingleBlock
-// reproduces the xv6 per-sector cached loop for Figure 9's ModeXv6 column,
-// and DataPathBypass reproduces the pre-cache direct-device path so
-// benchmarks can show what caching range IO buys.
+// bcache supports range reads/writes natively, so all IO — data and
+// metadata — flows through one cache and its request queue. Figure 9's
+// xv6 baseline is a configuration of the layers below (a 30-buffer cache
+// over a depth-1 queue and a per-sector SD driver, see kernel.ModeXv6);
+// the pre-cache direct-device path survives only as a benchmark in this
+// package's tests.
 package fat32
 
 import (
@@ -65,47 +65,9 @@ const (
 // ErrBadFS reports an unrecognized boot sector.
 var ErrBadFS = errors.New("fat32: bad boot sector")
 
-// DataPath selects how file data reaches the block device. Metadata (FAT,
-// directories) always goes through the buffer cache.
-type DataPath int
-
-// Data paths. Only DataPathRange is a production path; the other two exist
-// so experiments can reproduce the baselines the paper compares against.
-// Switching paths on a live volume is a benchmark-harness affordance:
-// callers must Sync first, and the bypass path must not run concurrently
-// with cached writes to the same clusters.
-const (
-	// DataPathRange (default) sends multi-block range operations through
-	// the sharded buffer cache: cached blocks from memory, misses
-	// coalesced into single device commands, batched writeback.
-	DataPathRange DataPath = iota
-	// DataPathSingleBlock loops over sectors through the cache one block
-	// at a time — the xv6 baseline of Figure 9 (kernel ModeXv6).
-	DataPathSingleBlock
-	// DataPathBypass issues range commands directly to the device,
-	// skipping the cache — the pre-sharded-cache behavior, kept as the
-	// benchmark baseline the sharded cache is measured against.
-	DataPathBypass
-)
-
-// String names the data path as it appears in benchmark and experiment
-// output: "range", "single-block" or "bypass".
-func (p DataPath) String() string {
-	switch p {
-	case DataPathRange:
-		return "range"
-	case DataPathSingleBlock:
-		return "single-block"
-	case DataPathBypass:
-		return "bypass"
-	}
-	return "?"
-}
-
 // FS is a mounted FAT32 volume.
 type FS struct {
-	dev fs.BlockDevice
-	bc  *bcache.Cache
+	bc *bcache.Cache
 
 	totalSectors int
 	fatStart     int // sector
@@ -154,11 +116,11 @@ type FS struct {
 	roFlag   atomic.Bool
 	roCause  atomic.Value // error
 
-	mu          sync.Mutex
-	pseudo      map[uint32]*pseudoInode // keyed by first cluster
-	dataPath    DataPath
-	rangeOps    int64
-	rangeBlocks int64
+	mu     sync.Mutex
+	pseudo map[uint32]*pseudoInode // keyed by first cluster
+
+	// rangeOps/rangeBlocks count file-data range transfers (RangeStats).
+	rangeOps, rangeBlocks atomic.Int64
 
 	// owners maps first cluster -> the file's writeback-error stream,
 	// guarded by mu. Deliberately separate from the pseudo-inode table:
@@ -302,7 +264,6 @@ func MountWith(dev fs.BlockDevice, t *sched.Task, copts bcache.Options) (*FS, er
 		return nil, fmt.Errorf("%w: sector size %d", ErrBadFS, dev.BlockSize())
 	}
 	f := &FS{
-		dev:    dev,
 		pseudo: make(map[uint32]*pseudoInode),
 		owners: make(map[uint32]*bcache.Owner),
 	}
@@ -461,35 +422,14 @@ func (f *FS) writeFSInfoLocked(t *sched.Task) error {
 	return nil
 }
 
-// SetDataPath switches the data IO strategy (benchmark baselines only —
-// see DataPath). Callers must Sync before switching away from a cached
-// path; the clean cache contents are dropped here so neither side of the
-// switch can serve — or leave behind — stale copies.
-func (f *FS) SetDataPath(p DataPath) {
-	f.mu.Lock()
-	changed := f.dataPath != p
-	f.dataPath = p
-	f.mu.Unlock()
-	if changed {
-		f.bc.Invalidate()
-	}
-}
-
-// DataPath reports the active data IO strategy.
-func (f *FS) DataPath() DataPath {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.dataPath
-}
-
-// RangeStats reports range transfers issued by the data path (ops, blocks).
+// RangeStats reports the range transfers file data has issued to the
+// cache (ops, sectors). Directory scans and cluster zeroing are metadata
+// and are not counted.
 func (f *FS) RangeStats() (ops, blocks int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.rangeOps, f.rangeBlocks
+	return f.rangeOps.Load(), f.rangeBlocks.Load()
 }
 
-// Cache exposes the buffer cache (all IO flows through it by default).
+// Cache exposes the buffer cache (all IO flows through it).
 func (f *FS) Cache() *bcache.Cache { return f.bc }
 
 // SetDcache attaches the kernel dentry cache handle for this mount. The
@@ -561,14 +501,6 @@ func (f *FS) Health() (degraded, readOnly bool, cause error) {
 		cause = e
 	}
 	return f.degraded.Load(), f.roFlag.Load(), cause
-}
-
-// countRange accounts one multi-block transfer of n sectors.
-func (f *FS) countRange(n int) {
-	f.mu.Lock()
-	f.rangeOps++
-	f.rangeBlocks += int64(n)
-	f.mu.Unlock()
 }
 
 // --- FAT access (through the buffer cache) ---
@@ -650,9 +582,7 @@ func (f *FS) allocCluster(t *sched.Task, zero bool) (uint32, error) {
 		return 0, err
 	}
 	if zero {
-		// Zeroing always goes through the cache, so every data path
-		// observes the zeros in every mode.
-		if err := f.writeClusterCached(t, c, make([]byte, ClusterSize)); err != nil {
+		if err := f.bc.WriteRange(t, f.clusterSector(c), SectorsPerCluster, make([]byte, ClusterSize)); err != nil {
 			f.unclaimCluster(t, c)
 			return 0, err
 		}
@@ -772,77 +702,21 @@ func (f *FS) clusterSector(c uint32) int {
 	return f.dataStart + int(c-rootCluster)*SectorsPerCluster
 }
 
-// devRead moves nsec sectors starting at sector into dst along the
-// active data path — the one dispatch point every data read shares.
-func (f *FS) devRead(t *sched.Task, sector, nsec int, dst []byte) error {
-	switch f.DataPath() {
-	case DataPathSingleBlock:
-		for s := 0; s < nsec; s++ {
-			b, err := f.bc.Get(t, sector+s)
-			if err != nil {
-				return err
-			}
-			copy(dst[s*SectorSize:], b.Data)
-			f.bc.Release(b)
-		}
-		return nil
-	case DataPathBypass:
-		f.countRange(nsec)
-		return f.dev.ReadBlocks(sector, nsec, dst)
-	default:
-		f.countRange(nsec)
-		return f.bc.ReadRange(t, sector, nsec, dst)
-	}
+// readData reads nsec sectors of file data starting at sector through
+// the cache — the one point every data read shares, counted in
+// RangeStats.
+func (f *FS) readData(t *sched.Task, sector, nsec int, dst []byte) error {
+	f.rangeOps.Add(1)
+	f.rangeBlocks.Add(int64(nsec))
+	return f.bc.ReadRange(t, sector, nsec, dst)
 }
 
-// devWrite is devRead's write-side twin. o tags the dirtied buffers with
-// the writing file's error stream on the cached paths (nil for unowned
-// writes); the bypass path is synchronous, so its errors are direct and
-// the owner is moot.
-func (f *FS) devWrite(t *sched.Task, sector, nsec int, src []byte, o *bcache.Owner) error {
-	switch f.DataPath() {
-	case DataPathSingleBlock:
-		for s := 0; s < nsec; s++ {
-			b, err := f.bc.Get(t, sector+s)
-			if err != nil {
-				return err
-			}
-			copy(b.Data, src[s*SectorSize:(s+1)*SectorSize])
-			f.bc.MarkDirtyOwned(b, o)
-			f.bc.Release(b)
-		}
-		return nil
-	case DataPathBypass:
-		f.countRange(nsec)
-		return f.dev.WriteBlocks(sector, nsec, src)
-	default:
-		f.countRange(nsec)
-		return f.bc.WriteRangeOwned(t, sector, nsec, src, o)
-	}
-}
-
-// readClusterData reads one whole cluster along the active data path.
-func (f *FS) readClusterData(t *sched.Task, c uint32, dst []byte) error {
-	return f.devRead(t, f.clusterSector(c), SectorsPerCluster, dst)
-}
-
-// writeClusterData writes one whole cluster along the active data path,
-// tagging the buffers with the owning file's error stream.
-func (f *FS) writeClusterData(t *sched.Task, c uint32, src []byte, o *bcache.Owner) error {
-	return f.devWrite(t, f.clusterSector(c), SectorsPerCluster, src, o)
-}
-
-// readClusterCached / writeClusterCached are the metadata variants:
-// directory clusters (and cluster zeroing) always go through the buffer
-// cache no matter the DataPath, so the benchmark baselines can never
-// leave a stale cached directory behind. Write-through keeps the device
-// current for the bypass path.
-func (f *FS) readClusterCached(t *sched.Task, c uint32, dst []byte) error {
-	return f.bc.ReadRange(t, f.clusterSector(c), SectorsPerCluster, dst)
-}
-
-func (f *FS) writeClusterCached(t *sched.Task, c uint32, src []byte) error {
-	return f.bc.WriteRange(t, f.clusterSector(c), SectorsPerCluster, src)
+// writeData is readData's write-side twin. o tags the dirtied buffers
+// with the writing file's error stream (nil for unowned writes).
+func (f *FS) writeData(t *sched.Task, sector, nsec int, src []byte, o *bcache.Owner) error {
+	f.rangeOps.Add(1)
+	f.rangeBlocks.Add(int64(nsec))
+	return f.bc.WriteRangeOwned(t, sector, nsec, src, o)
 }
 
 // clusterRuns walks [off, off+size) across the chain and calls partial for
@@ -885,14 +759,13 @@ func (f *FS) clusterRuns(clusters []uint32, off, size int,
 }
 
 // readRange reads [off, off+len(dst)) of a cluster chain, coalescing
-// contiguous clusters into multi-block commands through the cache (or the
-// baseline paths).
+// contiguous clusters into multi-block commands through the cache.
 func (f *FS) readRange(t *sched.Task, clusters []uint32, off int, dst []byte) error {
 	pos := 0 // write cursor into dst, advanced in lockstep with the walk
 	_, err := f.clusterRuns(clusters, off, len(dst),
 		func(ci, co, n int) error {
 			buf := make([]byte, ClusterSize)
-			if err := f.readClusterData(t, clusters[ci], buf); err != nil {
+			if err := f.readData(t, f.clusterSector(clusters[ci]), SectorsPerCluster, buf); err != nil {
 				return err
 			}
 			copy(dst[pos:pos+n], buf[co:])
@@ -902,7 +775,7 @@ func (f *FS) readRange(t *sched.Task, clusters []uint32, off int, dst []byte) er
 		func(ci, run int) error {
 			out := dst[pos : pos+run*ClusterSize]
 			pos += run * ClusterSize
-			return f.devRead(t, f.clusterSector(clusters[ci]), run*SectorsPerCluster, out)
+			return f.readData(t, f.clusterSector(clusters[ci]), run*SectorsPerCluster, out)
 		})
 	return err
 }
@@ -916,17 +789,18 @@ func (f *FS) writeRange(t *sched.Task, clusters []uint32, off int, src []byte, o
 	pos := 0
 	return f.clusterRuns(clusters, off, len(src),
 		func(ci, co, n int) error {
+			sector := f.clusterSector(clusters[ci])
 			buf := make([]byte, ClusterSize)
-			if err := f.readClusterData(t, clusters[ci], buf); err != nil {
+			if err := f.readData(t, sector, SectorsPerCluster, buf); err != nil {
 				return err
 			}
 			copy(buf[co:], src[pos:pos+n])
 			pos += n
-			return f.writeClusterData(t, clusters[ci], buf, o)
+			return f.writeData(t, sector, SectorsPerCluster, buf, o)
 		},
 		func(ci, run int) error {
 			in := src[pos : pos+run*ClusterSize]
 			pos += run * ClusterSize
-			return f.devWrite(t, f.clusterSector(clusters[ci]), run*SectorsPerCluster, in, o)
+			return f.writeData(t, f.clusterSector(clusters[ci]), run*SectorsPerCluster, in, o)
 		})
 }

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"protosim/internal/hw"
+	"protosim/internal/kernel/blkq"
 	"protosim/internal/kernel/fs"
 )
 
@@ -22,6 +23,13 @@ func (d sdDev) ReadBlocks(lba, n int, dst []byte) error {
 }
 func (d sdDev) WriteBlocks(lba, n int, src []byte) error {
 	return d.sd.WriteBlocks(lba, n, src)
+}
+
+// noRetryQueue fronts dev with a request queue whose own retries are
+// off, so injected transient errors reach the cache and the filesystem
+// instead of being absorbed below them.
+func noRetryQueue(dev fs.BlockDevice) *blkq.Queue {
+	return blkq.New(dev, blkq.Options{PlugDelay: -1, MaxRetries: -1})
 }
 
 func newFS(t *testing.T, blocks int) *FS {
@@ -271,7 +279,7 @@ func TestSDErrorSurfaces(t *testing.T) {
 	}
 	// Remount for a cold cache: with the data resident, a read would be
 	// served from memory and never touch the failing device.
-	f2, err := Mount(dev, nil)
+	f2, err := Mount(noRetryQueue(dev), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,9 +405,6 @@ func TestDataFlowsThroughCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.DataPath() != DataPathRange {
-		t.Fatalf("default data path = %v, want range", f.DataPath())
-	}
 	payload := make([]byte, 64<<10)
 	for i := range payload {
 		payload[i] = byte(i * 13)
@@ -434,40 +439,6 @@ func TestDataFlowsThroughCache(t *testing.T) {
 		t.Fatalf("warm read hit the device: %d -> %d blocks", r0, r1)
 	}
 	fl.Close(nil)
-}
-
-func TestDataPathModesAgree(t *testing.T) {
-	payload := make([]byte, 100<<10) // unaligned tail exercises partials
-	for i := range payload {
-		payload[i] = byte(i ^ (i >> 8))
-	}
-	f := newFS(t, 4096)
-	fl, err := openOF(f, "/agree.bin", fs.OCreate|fs.OWrOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fl.Write(nil, payload); err != nil {
-		t.Fatal(err)
-	}
-	fl.Close(nil)
-	if err := f.Sync(nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []DataPath{DataPathRange, DataPathSingleBlock, DataPathBypass} {
-		f.SetDataPath(p)
-		fl, err := openOF(f, "/agree.bin", fs.ORdOnly)
-		if err != nil {
-			t.Fatalf("%v: %v", p, err)
-		}
-		got := make([]byte, len(payload))
-		if _, err := fl.Read(nil, got); err != nil {
-			t.Fatalf("%v: %v", p, err)
-		}
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("data path %v read different bytes", p)
-		}
-		fl.Close(nil)
-	}
 }
 
 func TestRangeWritesCoalesceCommands(t *testing.T) {

@@ -126,7 +126,7 @@ func TestDaemonWritebackErrorReachesSync(t *testing.T) {
 	if err := Mkfs(dev); err != nil {
 		t.Fatal(err)
 	}
-	f, err := MountWith(dev, nil, bcache.Options{
+	f, err := MountWith(noRetryQueue(dev), nil, bcache.Options{
 		Buffers: 256, Shards: 4, Readahead: -1,
 		FlushInterval: 5 * time.Millisecond,
 	})

@@ -23,9 +23,11 @@ import (
 //
 // Two configurations:
 //
-//   - "sync": write-through cache, no request queue — the synchronous
-//     writeback baseline (every append pays a device round trip for its
-//     tail-cluster rewrite).
+//   - "sync": write-through cache over a queue with synchronous dispatch
+//     and no anticipation — the synchronous writeback baseline (every
+//     append pays a device round trip for its tail-cluster rewrite). The
+//     queue is wbWorkers deep, so every worker's command can be at the
+//     card at once, as with no queue at all.
 //   - "blkq": write-behind + flusher daemon + request queue over the SD
 //     card's async submit/IRQ halves.
 //
@@ -67,17 +69,16 @@ func runWriteHeavy(tb testing.TB, queued bool, workers, appends, appendSize int,
 	}
 
 	copts := bcache.Options{Buffers: 2048, Shards: 8, Readahead: -1}
-	var dev fs.BlockDevice = raw
 	var q *blkq.Queue
 	if queued {
 		adev := asyncSDDev{raw}
 		q = blkq.New(adev, blkq.Options{Async: adev})
 		ic.Register(hw.IRQSD, 0, func(hw.IRQLine, int) { q.CompletionIRQ() })
-		dev = q
 	} else {
+		q = blkq.New(raw, blkq.Options{Depth: wbWorkers, PlugDelay: -1})
 		copts.Policy = bcache.WritePolicyThrough
 	}
-	f, err := MountWith(dev, nil, copts)
+	f, err := MountWith(q, nil, copts)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -87,8 +87,7 @@ var ErrAborted = errors.New("jnl: transaction aborted")
 // Journal is the in-memory state of one on-disk log region.
 type Journal struct {
 	bc        *bcache.Cache
-	dev       fs.BlockDevice
-	tdev      fs.TaskBlockDevice // non-nil when dev threads tasks (blkq)
+	dev       fs.TaskBlockDevice // bc's request queue
 	blockSize int
 	start     int // header block LBA
 	region    int // slot blocks in the on-disk region (header excluded)
@@ -157,7 +156,6 @@ func New(bc *bcache.Cache, start, blocks int) *Journal {
 		freed:     make(map[int]bool),
 		revoked:   make(map[int]bool),
 	}
-	j.tdev, _ = j.dev.(fs.TaskBlockDevice)
 	j.slots = min(j.region, (j.blockSize-8)/4)
 	j.batchMax = min(j.slots, bc.Buffers()/2)
 	j.maxOp = min(j.maxOp, j.batchMax)
@@ -576,14 +574,11 @@ func (j *Journal) writeHeader(t *sched.Task, homes []int) error {
 	return j.bc.FlushBlocks(t, []int{j.start}, false)
 }
 
-// devWrite writes one block straight to the device, bypassing the cache
-// (install-from-log only: the cache buffer for the block deliberately
-// holds different — newer, uncommitted — content).
+// devWrite writes one block through the cache's request queue, bypassing
+// the cache (install-from-log only: the cache buffer for the block
+// deliberately holds different — newer, uncommitted — content).
 func (j *Journal) devWrite(t *sched.Task, lba int, src []byte) error {
-	if j.tdev != nil {
-		return j.tdev.WriteBlocksT(t, lba, 1, src)
-	}
-	return j.dev.WriteBlocks(lba, 1, src)
+	return j.dev.WriteBlocksT(t, lba, 1, src)
 }
 
 // Recover replays the log at mount: if the header names committed

@@ -40,10 +40,11 @@ type Mode int
 // Kernel modes.
 const (
 	// ModeProto is Proto as published: eager-copy fork, fast memmove,
-	// FAT32 range bypass, polled SD.
+	// FAT32 range transfers, polled SD.
 	ModeProto Mode = iota
-	// ModeXv6 strips Proto's optimizations: byte-loop memmove and all
-	// FAT32 data IO through the single-block buffer cache.
+	// ModeXv6 strips Proto's optimizations: byte-loop memmove, xv6's
+	// 30-buffer write-through cache over a depth-1 queue, and an SD
+	// driver that issues one command per sector.
 	ModeXv6
 	// ModeProd adds the production-OS mechanisms the paper credits for
 	// Linux/FreeBSD wins: copy-on-write fork and SD DMA.
@@ -280,18 +281,21 @@ func (k *Kernel) Boot() error {
 	k.FB = fb
 
 	// Filesystems. Every mount goes over a BlockIO — the unified block IO
-	// path — fronted (outside the xv6 baseline) by a blkq request queue,
-	// and a sharded buffer cache (Config.CacheBuffers sizes it). The queue
-	// gives cross-task elevator merging and IRQ-driven completion; the
-	// cache runs write-behind with a kflushd daemon per mount.
+	// path — fronted by a blkq request queue, and a sharded buffer cache
+	// (Config.CacheBuffers sizes it). The queue gives cross-task elevator
+	// merging and IRQ-driven completion; the cache runs write-behind with
+	// a kflushd daemon per mount.
 	copts := bcache.Options{Buffers: k.cfg.CacheBuffers}
-	useQueue := k.cfg.Mode != ModeXv6
+	var qopts blkq.Options
 	if k.cfg.Mode == ModeXv6 {
-		// The xv6 baseline gets xv6's cache everywhere: one shard, NBUF
-		// buffers, no readahead, synchronous write-through — Figure 9
-		// measures the original structure, not a shrunken sharded one.
+		// The xv6 baseline gets xv6's block layer everywhere: one shard,
+		// NBUF buffers, no readahead, synchronous write-through, over a
+		// queue that keeps one command in flight and never anticipates —
+		// Figure 9 measures the original structure, not a shrunken
+		// sharded one.
 		copts = bcache.Options{Buffers: bcache.Xv6Buffers, Shards: 1, Readahead: -1,
 			Policy: bcache.WritePolicyThrough}
+		qopts = blkq.Options{Depth: 1, PlugDelay: -1}
 	}
 	k.blockCaches = make(map[string]*bcache.Cache)
 	// The dentry cache is kernel-global with one handle per mount, like
@@ -313,7 +317,7 @@ func (k *Kernel) Boot() error {
 		}
 		rdev := NewBlockIO("rd0", rd)
 		k.addBlockDev(rdev)
-		root, err := xv6fs.MountWith(k.stackQueue(rdev, useQueue), nil, copts)
+		root, err := xv6fs.MountWith(k.stackQueue(rdev, qopts), nil, copts)
 		if err != nil {
 			return fmt.Errorf("kernel: root fs: %w", err)
 		}
@@ -343,8 +347,12 @@ func (k *Kernel) Boot() error {
 		if k.m.SD == nil {
 			return fmt.Errorf("kernel: FAT32 enabled but no SD card")
 		}
-		sdio := NewBlockIO("sd0", sdBlockDev{k.m.SD})
-		fatfs, err := fat32.MountWith(k.stackQueue(sdio, useQueue), nil, copts)
+		var sd fs.BlockDevice = sdBlockDev{k.m.SD}
+		if k.cfg.Mode == ModeXv6 {
+			sd = xv6SDDev{k.m.SD}
+		}
+		sdio := NewBlockIO("sd0", sd)
+		fatfs, err := fat32.MountWith(k.stackQueue(sdio, qopts), nil, copts)
 		if err != nil {
 			return fmt.Errorf("kernel: FAT32: %w", err)
 		}
@@ -352,10 +360,6 @@ func (k *Kernel) Boot() error {
 		fatfs.SetDcache(k.dcache.NewMount("/d"))
 		k.blockCaches[sdio.Name()] = fatfs.Cache()
 		k.startFlushDaemon(sdio.Name(), fatfs.Cache())
-		if k.cfg.Mode == ModeXv6 {
-			// ...and loops sector-by-sector, one command per block.
-			fatfs.SetDataPath(fat32.DataPathSingleBlock)
-		}
 		if k.cfg.Mode == ModeProd {
 			k.m.SD.SetDMA(true)
 		}
@@ -415,17 +419,15 @@ func (k *Kernel) Boot() error {
 	return nil
 }
 
-// stackQueue fronts a block device with an IO request queue: elevator
-// sorting, cross-task merging, anticipatory plugging on the kernel's
-// virtual timers, and — when the device has async halves (the SD card) —
-// IRQ-driven completion, with submitting tasks asleep on the sched waitq
-// until hw.IRQSD fires. Returns the device unwrapped when queues are
-// disabled (the ModeXv6 baseline).
-func (k *Kernel) stackQueue(d *BlockIO, enabled bool) fs.BlockDevice {
-	if !enabled {
-		return d
-	}
-	q := blkq.New(d, blkq.Options{Async: d.Async(), After: k.VTimers.AfterFunc})
+// stackQueue fronts a block device with an IO request queue configured by
+// opts: elevator sorting, cross-task merging, anticipatory plugging on the
+// kernel's virtual timers, and — when the device has async halves (the SD
+// card) — IRQ-driven completion, with submitting tasks asleep on the sched
+// waitq until hw.IRQSD fires.
+func (k *Kernel) stackQueue(d *BlockIO, opts blkq.Options) *blkq.Queue {
+	opts.Async = d.Async()
+	opts.After = k.VTimers.AfterFunc
+	q := blkq.New(d, opts)
 	d.SetQueue(q)
 	if d.Async() != nil {
 		// Route the device's completion IRQ into the queue: finished
@@ -469,6 +471,30 @@ func (d sdBlockDev) SubmitWrite(tag uint64, lba, n int, src []byte) error {
 	return d.sd.SubmitWrite(tag, lba, n, src)
 }
 func (d sdBlockDev) PopCompletion() (uint64, error, bool) { return d.sd.PopCompletion() }
+
+// xv6SDDev is ModeXv6's SD driver: synchronous, polled, one card command
+// per sector, like xv6's own disk driver. It splits every multi-block
+// command the queue above it merged.
+type xv6SDDev struct{ sd *hw.SDCard }
+
+func (d xv6SDDev) BlockSize() int { return hw.SDBlockSize }
+func (d xv6SDDev) Blocks() int    { return d.sd.Blocks() }
+func (d xv6SDDev) ReadBlocks(lba, n int, dst []byte) error {
+	for i := 0; i < n; i++ {
+		if err := d.sd.ReadBlocks(lba+i, 1, dst[i*hw.SDBlockSize:(i+1)*hw.SDBlockSize]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+func (d xv6SDDev) WriteBlocks(lba, n int, src []byte) error {
+	for i := 0; i < n; i++ {
+		if err := d.sd.WriteBlocks(lba+i, 1, src[i*hw.SDBlockSize:(i+1)*hw.SDBlockSize]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // taskPanicked is the kernel oops path for a crashing user task.
 func (k *Kernel) taskPanicked(t *sched.Task, reason any) {

@@ -1015,14 +1015,14 @@ func (c *Cache) FlushOwner(t *sched.Task, o *Owner, extra ...int) error {
 }
 
 // FlushBlocks writes back exactly the named blocks (deduplicated, in
-// ascending LBA order) and waits for their completions — the journal's
-// targeted durability primitive: commit flushes the transaction's log
-// slots with it (plugged, so the elevator merges the slot run into one
-// group-commit burst), then its header; the ordered-writes FAT32 path
-// flushes a new file's data and FAT sectors with it before publishing the
-// dirent. Blocks that are absent, clean, or frozen are skipped — absent
-// or clean means already durable, frozen means some open transaction owns
-// the block and its durability is the journal's job, not this caller's.
+// ascending LBA order) and waits for their completions — the targeted
+// durability primitive: the journal's checkpoint and recovery flush the
+// logged home blocks with it before zeroing the log header; the
+// ordered-writes FAT32 path flushes a new file's data and FAT sectors
+// with it before publishing the dirent. Blocks that are absent, clean, or
+// frozen are skipped — absent or clean means already durable, frozen
+// means some open transaction owns the block and its durability is the
+// journal's job, not this caller's.
 func (c *Cache) FlushBlocks(t *sched.Task, lbas []int, plugged bool) error {
 	if len(lbas) == 0 {
 		return nil

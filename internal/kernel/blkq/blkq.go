@@ -235,7 +235,7 @@ func (q *Queue) WriteBlocks(lba, n int, src []byte) error {
 // ReadBlocksT implements fs.TaskBlockDevice: submit and sleep until the
 // completion IRQ wakes us.
 func (q *Queue) ReadBlocksT(t *sched.Task, lba, n int, dst []byte) error {
-	r, err := q.submit(t, false, lba, n, dst)
+	r, err := q.submit(t, false, true, lba, n, dst)
 	if err != nil {
 		return err
 	}
@@ -244,7 +244,7 @@ func (q *Queue) ReadBlocksT(t *sched.Task, lba, n int, dst []byte) error {
 
 // WriteBlocksT implements fs.TaskBlockDevice.
 func (q *Queue) WriteBlocksT(t *sched.Task, lba, n int, src []byte) error {
-	r, err := q.submit(t, true, lba, n, src)
+	r, err := q.submit(t, true, true, lba, n, src)
 	if err != nil {
 		return err
 	}
@@ -264,7 +264,7 @@ func (tk ticket) Wait(t *sched.Task) error { return tk.q.wait(t, tk.r) }
 // ticket; the writeback paths keep several in flight to fill the device
 // queue. src must stay stable until Wait returns.
 func (q *Queue) SubmitWrite(t *sched.Task, lba, n int, src []byte) (fs.BlockTicket, error) {
-	r, err := q.submit(t, true, lba, n, src)
+	r, err := q.submit(t, true, false, lba, n, src)
 	if err != nil {
 		return nil, err
 	}
@@ -396,8 +396,10 @@ func (q *Queue) flushAnticipation(t *sched.Task) {
 	}
 }
 
-// submit validates and enqueues one request, then kicks dispatch.
-func (q *Queue) submit(t *sched.Task, write bool, lba, n int, buf []byte) (*request, error) {
+// submit validates and enqueues one request, then kicks dispatch. waitsNow
+// marks a submitter that sleeps on the request straight away (ReadBlocksT,
+// WriteBlocksT) rather than holding a ticket.
+func (q *Queue) submit(t *sched.Task, write, waitsNow bool, lba, n int, buf []byte) (*request, error) {
 	if lba < 0 || n <= 0 || lba+n > q.dev.Blocks() {
 		return nil, fmt.Errorf("blkq: bad range [%d,%d)", lba, lba+n)
 	}
@@ -428,7 +430,10 @@ func (q *Queue) submit(t *sched.Task, write bool, lba, n int, buf []byte) (*requ
 	// writer's follow-ups accumulate into one command. Requests landing in
 	// an open window are the anticipated traffic (plug hits); once the
 	// pending span can no longer grow a bigger command, waiting is
-	// pointless and the window converts.
+	// pointless and the window converts. A submitter that waits at once
+	// has no follow-ups to anticipate — its wait would close the window
+	// straight away — so it never opens one, though it may still land in
+	// a window a ticket holder opened.
 	if q.plugDelay > 0 && q.plugs == 0 {
 		switch {
 		case q.antOpen:
@@ -436,7 +441,7 @@ func (q *Queue) submit(t *sched.Task, write bool, lba, n int, buf []byte) (*requ
 			if q.pendingN >= maxMergeBlocks {
 				q.closeAnticipationLocked()
 			}
-		case idle:
+		case idle && !waitsNow:
 			q.openAnticipationLocked()
 		}
 	}

@@ -147,6 +147,54 @@ func TestAnticipatoryPlugMergesLoneSubmitter(t *testing.T) {
 	}
 }
 
+// TestWaitingSubmitterOpensNoWindow: ReadBlocks/WriteBlocks sleep on their
+// request at once, so at an idle queue they dispatch without arming the
+// anticipatory timer (a window would only be armed and cancelled). A
+// ticket submitter still opens one, and a waiting submitter that lands
+// in it rides it as a plug hit and merges.
+func TestWaitingSubmitterOpensNoWindow(t *testing.T) {
+	dev := &cmdDev{BlockDevice: fs.NewRamdisk(512, 64)}
+	var arms int
+	after := func(d time.Duration, fn func()) func() bool {
+		arms++ // every call runs under q.mu
+		return time.AfterFunc(d, fn).Stop
+	}
+	q := New(dev, Options{PlugDelay: time.Minute, After: after})
+	buf := make([]byte, 512)
+	for i := 0; i < 4; i++ {
+		if err := q.WriteBlocks(10+i, 1, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := q.ReadBlocks(10+i, 1, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hits, timeouts := q.PlugStats()
+	if arms != 0 || hits != 0 || timeouts != 0 {
+		t.Fatalf("waiting submitters armed %d windows (hits=%d timeouts=%d), want none", arms, hits, timeouts)
+	}
+	if n := len(dev.writeCmds()); n != 4 {
+		t.Fatalf("4 waited writes dispatched as %d commands, want 4", n)
+	}
+	tk, err := q.SubmitWrite(nil, 20, 1, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.WriteBlocks(21, 1, buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := tk.Wait(nil); err != nil {
+		t.Fatal(err)
+	}
+	cmds := dev.writeCmds()
+	if arms != 1 || cmds[len(cmds)-1] != [2]int{20, 2} {
+		t.Fatalf("ticket window: arms=%d last command %v, want 1 and one merged [20 2]", arms, cmds[len(cmds)-1])
+	}
+	if hits, _ := q.PlugStats(); hits != 1 {
+		t.Fatalf("plug hits = %d, want 1 (the waited write rode the ticket's window)", hits)
+	}
+}
+
 // TestAnticipatoryPlugTimeout: a lone request whose submitter never waits
 // must still dispatch — the window expires on its timer and counts as a
 // plug timeout.

@@ -55,10 +55,11 @@
 //     dispatches the merged batch immediately — an explicit batch never
 //     pays the anticipatory delay.
 //   - An anticipatory plug (Options.PlugDelay) opens automatically when a
-//     request arrives at an idle queue — no pending requests, nothing in
-//     flight, no explicit plug. A lone submitter's follow-up requests land
-//     inside the window and merge, where an idle queue would otherwise
-//     dispatch the first request alone, solo and unmergeable. The window
+//     ticket request (SubmitWrite) arrives at an idle queue — no pending
+//     requests, nothing in flight, no explicit plug. A lone submitter's
+//     follow-up requests land inside the window and merge, where an idle
+//     queue would otherwise dispatch the first request alone, solo and
+//     unmergeable. The window
 //     closes and dispatch resumes when (a) a task waits on any pending
 //     request — the task is about to sleep, so holding its IO back any
 //     longer is pure latency (Linux flushes the task plug in schedule()
@@ -67,8 +68,13 @@
 //     over; or (d) PlugDelay expires (the timer fires through the
 //     Options.After source — the kernel's virtual timers — and counts as
 //     a plug timeout, even when the window caught hits). Every window
-//     lasts the same PlugDelay. Submissions that arrive while a window is open count as plug hits;
-//     both counters surface in /proc/diskstats.
+//     lasts the same PlugDelay. Submissions that arrive while a window
+//     is open count as plug hits; both counters surface in
+//     /proc/diskstats. Anticipation pays only where the submitter runs
+//     ahead of its IO, so ReadBlocksT and WriteBlocksT, which sleep on
+//     their request at once, never open a window: by (a) it would close
+//     as soon as it opened, having only armed and cancelled a timer.
+//     They still count as hits when they land in an open one.
 //
 // # Caller invariants
 //

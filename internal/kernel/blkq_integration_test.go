@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -223,5 +224,122 @@ func TestXv6ModeBlockLayer(t *testing.T) {
 		if !strings.Contains(line, " depth=1 ") || !strings.Contains(line, " plug_hits=0 ") {
 			t.Fatalf("%s queue is not the xv6 baseline's (depth 1, no anticipation): %q\n%s", dev, line, stats)
 		}
+	}
+}
+
+// diskstat returns the integer field key of the /proc/diskstats line that
+// starts with prefix.
+func diskstat(t *testing.T, stats, prefix, key string) int64 {
+	t.Helper()
+	for _, l := range strings.Split(stats, "\n") {
+		if !strings.HasPrefix(l, prefix+" ") {
+			continue
+		}
+		for _, f := range strings.Fields(l) {
+			if v, ok := strings.CutPrefix(f, key+"="); ok {
+				n, err := strconv.ParseInt(v, 10, 64)
+				if err != nil {
+					t.Fatalf("%s %s=%q: %v", prefix, key, v, err)
+				}
+				return n
+			}
+		}
+	}
+	t.Fatalf("diskstats has no %s %s=:\n%s", prefix, key, stats)
+	return 0
+}
+
+// TestJournalCommitIsTwoQueueWrites pins what one journaled create costs
+// the root ramdisk: the commit's slot run and its header, each one request
+// and one device command straight from the journal, which waits on each
+// write at once and so opens no anticipation window, and no buffer-cache
+// writeback.
+func TestJournalCommitIsTwoQueueWrites(t *testing.T) {
+	k := bootKernel(t, 2, nil)
+	defer k.Shutdown()
+	create := func(path string) {
+		code := run(t, k, "create", func(p *Proc, _ []string) int {
+			fd, err := p.SysOpen(path, fs.OCreate|fs.OWrOnly)
+			if err != nil {
+				return 1
+			}
+			if p.SysClose(fd) != nil {
+				return 2
+			}
+			return 0
+		})
+		if code != 0 {
+			t.Fatalf("create %s exit = %d", path, code)
+		}
+	}
+	// Warm every block a root create touches, make it durable, and stop
+	// rd0's flusher so no background pass or idle checkpoint lands in the
+	// measured window.
+	create("/warm")
+	if err := k.VFS.SyncAll(nil); err != nil {
+		t.Fatal(err)
+	}
+	k.blockCaches["rd0"].StopDaemon()
+
+	before := readProc(t, k, "diskstats")
+	commits := k.RootFS.Journal().Stats().Commits
+	create("/probe")
+	after := readProc(t, k, "diskstats")
+	if got := k.RootFS.Journal().Stats().Commits - commits; got != 1 {
+		t.Fatalf("create committed %d transactions, want 1", got)
+	}
+	delta := func(prefix, key string) int64 {
+		return diskstat(t, after, prefix, key) - diskstat(t, before, prefix, key)
+	}
+	if sub, cmds := delta("rd0.q", "submitted"), delta("rd0.q", "commands"); sub != 2 || cmds != 2 {
+		t.Fatalf("one commit cost rd0 %d requests, %d commands; want 2 and 2\nbefore:\n%s\nafter:\n%s",
+			sub, cmds, before, after)
+	}
+	if hits := diskstat(t, after, "rd0.q", "plug_hits"); hits != 0 {
+		t.Fatalf("rd0 queue anticipated: plug_hits=%d", hits)
+	}
+	if wb := delta("rd0.cache", "writebacks"); wb != 0 {
+		t.Fatalf("commit wrote back %d rd0 cache buffers, want 0", wb)
+	}
+}
+
+// TestRootFsyncMergesOnRd0 pins that fsync of a multi-block root file
+// still merges on the synchronous ramdisk: FlushOwner submits the file's
+// data as unplugged tickets, and the anticipatory window those tickets
+// open is what turns the run into one device command.
+func TestRootFsyncMergesOnRd0(t *testing.T) {
+	k := bootKernel(t, 2, nil)
+	defer k.Shutdown()
+	// Keep the data dirty until the fsync: no background writeback.
+	k.blockCaches["rd0"].StopDaemon()
+	const blocks = 8
+	var before, after string
+	code := run(t, k, "fsync", func(p *Proc, _ []string) int {
+		fd, err := p.SysOpen("/big", fs.OCreate|fs.OWrOnly)
+		if err != nil {
+			return 1
+		}
+		if _, err := p.SysWrite(fd, make([]byte, blocks*xv6fs.BlockSize)); err != nil {
+			return 2
+		}
+		before = readProc(t, k, "diskstats")
+		if p.SysFsync(fd) != nil {
+			return 3
+		}
+		after = readProc(t, k, "diskstats")
+		return 0
+	})
+	if code != 0 {
+		t.Fatalf("fsync program exit = %d", code)
+	}
+	delta := func(key string) int64 {
+		return diskstat(t, after, "rd0.q", key) - diskstat(t, before, "rd0.q", key)
+	}
+	// Data run plus inode and bitmap blocks: the data must go out as one
+	// command (at least blocks-1 merges); without the window every block
+	// is its own command.
+	if merged := delta("merged"); merged < blocks-1 {
+		t.Fatalf("fsync of %d data blocks merged %d requests on rd0 (submitted=%d commands=%d), want >= %d",
+			blocks, merged, delta("submitted"), delta("commands"), blocks-1)
 	}
 }

@@ -8,15 +8,20 @@
 // writeback path — so uncommitted metadata can never reach its home
 // location. When the last outstanding operation Ends, the whole batch
 // commits as one transaction (group commit): the frozen blocks are copied
-// into the log slots after the ones earlier transactions still occupy and
-// flushed under a single request-queue plug — one merged burst — and then
+// into a journal-owned buffer and written to the log slots after the ones
+// earlier transactions still occupy as ONE request-queue write, and then
 // the header block is rewritten to name the home address of EVERY
-// occupied slot, in slot order, and flushed. That header write is the
+// occupied slot, in slot order, as a second. That header write is the
 // commit point: before it, a crash replays only the earlier transactions
 // and this one never happened; after it, recovery replays every slot in
 // order (a later copy of a block overwrites an earlier one) and it did.
 // Nothing in between is observable. Commit's critical path is those two
-// flushes.
+// writes.
+//
+// Like jbd2, which writes its log with its own buffers rather than the
+// page cache, the log never passes through the buffer cache: only
+// checkpoint installs and Recover read a slot back, straight off the
+// queue, so caching slots would only spend buffers and writeback passes.
 //
 // After commit the blocks are thawed into ordinary dirty buffers. Writing
 // them home and then zeroing the header is the CHECKPOINT, and it empties
@@ -95,6 +100,11 @@ type Journal struct {
 	batchMax  int // slots one batch may fill: also capped at half the cache
 	maxOp     int
 
+	// Journal-owned IO buffers: batchMax slot blocks and one header block.
+	// Only the holder of committing touches them.
+	logBuf []byte
+	hdrBuf []byte
+
 	mu          sync.Mutex
 	outstanding int   // operations inside Begin/End brackets
 	committing  bool  // a commit or checkpoint owns the log state
@@ -159,6 +169,8 @@ func New(bc *bcache.Cache, start, blocks int) *Journal {
 	j.slots = min(j.region, (j.blockSize-8)/4)
 	j.batchMax = min(j.slots, bc.Buffers()/2)
 	j.maxOp = min(j.maxOp, j.batchMax)
+	j.logBuf = make([]byte, j.batchMax*j.blockSize)
+	j.hdrBuf = make([]byte, j.blockSize)
 	return j
 }
 
@@ -280,7 +292,7 @@ func (j *Journal) discard(t *sched.Task) {
 		}
 	}
 	j.batch = j.batch[:0]
-	j.inBatch = make(map[int]*bcache.Buf)
+	clear(j.inBatch)
 	j.aborted = false
 	j.abortCause = nil
 	j.aborts.Add(1)
@@ -403,8 +415,8 @@ func (j *Journal) Checkpoint(t *sched.Task) error {
 }
 
 // commit appends the open batch to the log. Caller set committing (which
-// blocks Begin), and outstanding is zero, so the batch and the log state
-// are exclusively ours even though mu is dropped.
+// blocks Begin), and outstanding is zero, so the batch, the log state and
+// the journal's IO buffers are exclusively ours even though mu is dropped.
 //
 // Order matters everywhere here:
 //
@@ -412,10 +424,10 @@ func (j *Journal) Checkpoint(t *sched.Task) error {
 //     checkpointed first: every logged transaction's blocks reach home
 //     and the header is zeroed, durably — only then may slot 0 be reused
 //     (else a crash replays the old header over new slot contents).
-//  2. The batch is copied into the free slots and flushed under one
-//     plug: the group-commit device burst.
-//  3. The header naming every occupied slot's home is written and
-//     flushed: the commit point.
+//  2. The batch is copied into logBuf and written to the free slots as one
+//     request: the group-commit device burst.
+//  3. The header naming every occupied slot's home is written: the commit
+//     point.
 //  4. The batch buffers thaw into ordinary dirty buffers, and pending
 //     points their home LBAs at their new slots.
 func (j *Journal) commit(t *sched.Task) error {
@@ -430,36 +442,15 @@ func (j *Journal) commit(t *sched.Task) error {
 		}
 	}
 	base := len(j.homes)
-	slotLBAs := make([]int, 0, len(j.batch))
 	homes := j.homes
 	for i, b := range j.batch {
-		slot := j.start + 1 + base + i
-		// Buffer locks are ranked by ascending LBA. Most metadata lives
-		// above the log region, so slot-then-block is the ascending order —
-		// but the superblock (orphan list, LBA 0) sorts below it and must
-		// be locked first.
-		var sb *bcache.Buf
-		var err error
-		if b.LBA() < slot {
-			b.Lock(t)
-			if sb, err = j.bc.Get(t, slot); err != nil {
-				b.Unlock()
-				return err
-			}
-		} else {
-			if sb, err = j.bc.Get(t, slot); err != nil {
-				return err
-			}
-			b.Lock(t)
-		}
-		copy(sb.Data, b.Data)
+		b.Lock(t)
+		copy(j.logBuf[i*j.blockSize:], b.Data)
 		b.Unlock()
-		j.bc.MarkDirty(sb)
-		j.bc.Release(sb)
-		slotLBAs = append(slotLBAs, slot)
 		homes = append(homes, b.LBA())
 	}
-	if err := j.bc.FlushBlocks(t, slotLBAs, true); err != nil {
+	n := len(j.batch)
+	if err := j.dev.WriteBlocksT(t, j.start+1+base, n, j.logBuf[:n*j.blockSize]); err != nil {
 		return err
 	}
 	if err := j.writeHeader(t, homes); err != nil {
@@ -473,7 +464,7 @@ func (j *Journal) commit(t *sched.Task) error {
 		b.Unlock()
 	}
 	j.batch = j.batch[:0]
-	j.inBatch = make(map[int]*bcache.Buf)
+	clear(j.inBatch)
 	j.commits.Add(1)
 	// The batch's frees are now durable. A freed block the log still
 	// names stays revoked until the checkpoint empties the log; any other
@@ -492,9 +483,9 @@ func (j *Journal) commit(t *sched.Task) error {
 // checkpoint makes every logged transaction's blocks durable at home and
 // invalidates the header, emptying the log. Blocks whose cache buffers
 // were re-frozen by the open batch hold NEWER uncommitted content — their
-// latest committed content is installed straight from its log slot to the
-// home address, bypassing the cache. Caller owns the log state
-// (committing set).
+// latest committed content is read back from its log slot and installed
+// straight to the home address, bypassing the cache. Caller owns the log
+// state (committing set).
 func (j *Journal) checkpoint(t *sched.Task) error {
 	// A checkpoint that failed mid-way may have lost a pending block's only
 	// cache copy (a fatal writeback error gives the buffer up), leaving the
@@ -510,43 +501,38 @@ func (j *Journal) checkpoint(t *sched.Task) error {
 		return nil
 	}
 	flush := make([]int, 0, len(j.pending))
-	type install struct{ slot, home int }
-	var installs []install
+	// The open batch is not in logBuf yet (commit copies it after this
+	// checkpoint), so its first block is free to stage each install.
+	stage := j.logBuf[:j.blockSize]
 	for lba, slot := range j.pending {
 		// Install rather than flush when the cache buffer does not hold
 		// the latest committed content: re-frozen by the open batch
 		// (newer, uncommitted), or invalidated by an abort (gone).
-		if _, frozen := j.inBatch[lba]; frozen || j.discarded[lba] {
-			installs = append(installs, install{slot: j.start + 1 + slot, home: lba})
-		} else {
+		if _, frozen := j.inBatch[lba]; !frozen && !j.discarded[lba] {
 			flush = append(flush, lba)
+			continue
 		}
-	}
-	if err := j.bc.FlushBlocks(t, flush, true); err != nil {
-		j.ckptErr = err
-		return err
-	}
-	for _, in := range installs {
-		sb, err := j.bc.Get(t, in.slot)
-		if err != nil {
-			j.ckptErr = err
-			return err
+		err := j.dev.ReadBlocksT(t, j.start+1+slot, 1, stage)
+		if err == nil {
+			err = j.dev.WriteBlocksT(t, lba, 1, stage)
 		}
-		err = j.devWrite(t, in.home, sb.Data)
-		j.bc.Release(sb)
 		if err != nil {
 			j.ckptErr = err
 			return err
 		}
 		j.installs.Add(1)
 	}
+	if err := j.bc.FlushBlocks(t, flush, true); err != nil {
+		j.ckptErr = err
+		return err
+	}
 	if err := j.writeHeader(t, nil); err != nil {
 		j.ckptErr = err
 		return err
 	}
 	j.homes = j.homes[:0]
-	j.pending = make(map[int]int)
-	j.discarded = make(map[int]bool)
+	clear(j.pending)
+	clear(j.discarded)
 	j.checkpoints.Add(1)
 	// No transaction names a revoked block any more.
 	j.revMu.Lock()
@@ -555,99 +541,70 @@ func (j *Journal) checkpoint(t *sched.Task) error {
 	return nil
 }
 
-// writeHeader encodes and durably writes the header block: magic, slot
-// count, then the home LBA of each occupied slot in order. A nil homes
-// writes the empty header — the invalidation.
+// writeHeader encodes the header block into hdrBuf — magic, slot count,
+// then the home LBA of each occupied slot in order — and writes it
+// straight to the queue, returning once it is durable. A nil homes writes
+// the empty header — the invalidation.
 func (j *Journal) writeHeader(t *sched.Task, homes []int) error {
-	hb, err := j.bc.Get(t, j.start)
-	if err != nil {
-		return err
-	}
-	clear(hb.Data)
-	binary.LittleEndian.PutUint32(hb.Data[0:], Magic)
-	binary.LittleEndian.PutUint32(hb.Data[4:], uint32(len(homes)))
+	clear(j.hdrBuf)
+	binary.LittleEndian.PutUint32(j.hdrBuf[0:], Magic)
+	binary.LittleEndian.PutUint32(j.hdrBuf[4:], uint32(len(homes)))
 	for i, home := range homes {
-		binary.LittleEndian.PutUint32(hb.Data[8+4*i:], uint32(home))
+		binary.LittleEndian.PutUint32(j.hdrBuf[8+4*i:], uint32(home))
 	}
-	j.bc.MarkDirty(hb)
-	j.bc.Release(hb)
-	return j.bc.FlushBlocks(t, []int{j.start}, false)
-}
-
-// devWrite writes one block through the cache's request queue, bypassing
-// the cache (install-from-log only: the cache buffer for the block
-// deliberately holds different — newer, uncommitted — content).
-func (j *Journal) devWrite(t *sched.Task, lba int, src []byte) error {
-	return j.dev.WriteBlocksT(t, lba, 1, src)
+	return j.dev.WriteBlocksT(t, j.start, 1, j.hdrBuf)
 }
 
 // Recover replays the log at mount: if the header names committed
-// transactions, every slot block is copied to its home address in slot
-// order (through the cache, so a later copy of a block overwrites an
-// earlier one; flushed) and the header is invalidated. Idempotent — a
-// crash mid-recovery just replays again. Returns how many slots were
-// replayed. Must run before the filesystem reads any metadata.
+// transactions, the header and every slot are read straight off the
+// queue, each slot is copied into its home block's cache buffer in slot
+// order (so a later copy of a block overwrites an earlier one), the homes
+// are flushed and the header is invalidated. Idempotent — a crash
+// mid-recovery just replays again. Returns how many slots were replayed.
+// Must run before the filesystem reads any metadata.
 //
 // The slot count is checked against the on-disk region and the header's
 // capacity, not against this mount's cache: an image logged by a mount
 // with a larger cache must still boot under a smaller one.
 func (j *Journal) Recover(t *sched.Task) (int, error) {
-	hb, err := j.bc.Get(t, j.start)
-	if err != nil {
+	if err := j.dev.ReadBlocksT(t, j.start, 1, j.hdrBuf); err != nil {
 		return 0, err
 	}
-	magic := binary.LittleEndian.Uint32(hb.Data[0:])
-	count := int(binary.LittleEndian.Uint32(hb.Data[4:]))
+	magic := binary.LittleEndian.Uint32(j.hdrBuf[0:])
+	count := int(binary.LittleEndian.Uint32(j.hdrBuf[4:]))
 	if magic != Magic || count == 0 {
 		// No committed transaction (a foreign/garbage header doesn't
 		// carry the magic): nothing to replay.
-		j.bc.Release(hb)
 		return 0, nil
 	}
 	if count > j.slots {
-		j.bc.Release(hb)
 		return 0, fmt.Errorf("%w: %d blocks in a %d-slot log", ErrBadLog, count, j.slots)
 	}
 	homes := make([]int, 0, count)
 	for i := 0; i < count; i++ {
-		home := int(binary.LittleEndian.Uint32(hb.Data[8+4*i:]))
+		home := int(binary.LittleEndian.Uint32(j.hdrBuf[8+4*i:]))
 		// A hostile or torn header must not aim the replay outside the
 		// device or back into the log region itself.
 		if home < 0 || home >= j.dev.Blocks() ||
 			(home >= j.start && home <= j.start+j.region) {
-			j.bc.Release(hb)
 			return 0, fmt.Errorf("%w: home block %d out of range", ErrBadLog, home)
 		}
 		homes = append(homes, home)
 	}
-	j.bc.Release(hb)
+	// An image logged under a larger cache may hold more slots than
+	// logBuf; recovery runs once per mount, so size the read to the log.
+	slots := make([]byte, count*j.blockSize)
+	if err := j.dev.ReadBlocksT(t, j.start+1, count, slots); err != nil {
+		return 0, err
+	}
 	for i, home := range homes {
-		slot := j.start + 1 + i
-		// Ascending-LBA lock order, as in commit: the superblock's home
-		// (LBA 0) sorts below the log region, everything else above it.
-		var sb, db *bcache.Buf
-		var err error
-		if home < slot {
-			if db, err = j.bc.Get(t, home); err != nil {
-				return 0, err
-			}
-			if sb, err = j.bc.Get(t, slot); err != nil {
-				j.bc.Release(db)
-				return 0, err
-			}
-		} else {
-			if sb, err = j.bc.Get(t, slot); err != nil {
-				return 0, err
-			}
-			if db, err = j.bc.Get(t, home); err != nil {
-				j.bc.Release(sb)
-				return 0, err
-			}
+		db, err := j.bc.Get(t, home)
+		if err != nil {
+			return 0, err
 		}
-		copy(db.Data, sb.Data)
+		copy(db.Data, slots[i*j.blockSize:])
 		j.bc.MarkDirty(db)
 		j.bc.Release(db)
-		j.bc.Release(sb)
 	}
 	if err := j.bc.FlushBlocks(t, homes, true); err != nil {
 		return 0, err

@@ -3,12 +3,17 @@ package jnl_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 	"time"
 
+	"protosim/internal/hw"
 	"protosim/internal/kernel/bcache"
+	"protosim/internal/kernel/blkq"
 	"protosim/internal/kernel/fs"
 	"protosim/internal/kernel/jnl"
+	"protosim/internal/kernel/xv6fs"
+	"protosim/internal/kernel/xv6fs/xfsck"
 )
 
 const (
@@ -435,5 +440,124 @@ func TestRecordOutsideBracketFails(t *testing.T) {
 	defer bc.Release(b)
 	if err := j.Record(nil, b); err == nil {
 		t.Fatal("Record outside Begin/End succeeded")
+	}
+}
+
+// commitAllocBudget bounds the heap allocations of one single-block
+// Begin/Record/End commit over a ramdisk cache. The slot run and the
+// header go out of journal-owned buffers as two queue writes, and the six
+// allocations left are blkq's: per write, the request (submit) and two
+// for its dispatched command (buildCommandLocked). Staging the log
+// through cache buffers cost 22.
+const commitAllocBudget = 6
+
+// TestCommitAllocs is a host-independent guard on commit cost: the
+// allocation count of a commit does not move with machine load the way
+// its time does.
+func TestCommitAllocs(t *testing.T) {
+	j, bc, _ := newJournal(t, 55)
+	// 1 warm-up + 50 measured commits stay inside the 54 slots, so no
+	// checkpoint lands in the measurement.
+	allocs := testing.AllocsPerRun(50, func() { record(t, j, bc, 10, 0xCD) })
+	if s := j.Stats(); s.Commits != 51 || s.Checkpoints != 0 {
+		t.Fatalf("commits=%d checkpoints=%d, want 51 and 0", s.Commits, s.Checkpoints)
+	}
+	t.Logf("one-block commit: %.0f allocs", allocs)
+	if allocs > commitAllocBudget {
+		t.Fatalf("one-block commit allocates %.0f objects, want <= %d", allocs, commitAllocBudget)
+	}
+}
+
+// TestFailedLogWrites fails each of the commit's two queue writes in turn
+// — the slot run, then the header — on a queue that does not retry. The
+// failing End and the next Sync both report the device error, the batch
+// stays frozen (its home is never written), and after a crash the remount
+// replays only the transaction committed before the failure, leaving a
+// volume xfsck passes.
+func TestFailedLogWrites(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bad  func(logStart int) int // the LBA that turns bad before the second commit
+	}{
+		{"slots", func(logStart int) int { return logStart + 2 }}, // slot 1: the second commit's slot run
+		{"header", func(logStart int) int { return logStart }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rd := fs.NewRamdisk(xv6fs.BlockSize, 1024)
+			if err := xv6fs.Mkfs(rd, 64); err != nil {
+				t.Fatal(err)
+			}
+			// xv6fs.Superblock: Size at byte 4, LogStart at 24, LogSize at 28.
+			sb := devBlock(t, rd, 0)
+			size := int(binary.LittleEndian.Uint32(sb[4:]))
+			logStart := int(binary.LittleEndian.Uint32(sb[24:]))
+			logSize := int(binary.LittleEndian.Uint32(sb[28:]))
+			// Two free data blocks at the end of the volume.
+			a, b := size-2, size-1
+
+			newCache := func(dev fs.BlockDevice) *bcache.Cache {
+				return bcache.NewWithOptions(dev, bcache.Options{
+					Buffers: 64, Shards: 4, Readahead: -1,
+					FlushInterval: time.Hour, WritebackRatio: -1,
+				})
+			}
+			fd := hw.NewFaultDisk(rd, hw.FaultPlan{Seed: 1})
+			bc := newCache(blkq.New(fd, blkq.Options{PlugDelay: -1, MaxRetries: -1}))
+			j := jnl.New(bc, logStart, logSize)
+			record(t, j, bc, a, 0xA1)
+
+			fd.AddBadSector(tc.bad(logStart))
+			j.Begin(nil)
+			buf, err := bc.Get(nil, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range buf.Data {
+				buf.Data[i] = 0xB2
+			}
+			if err := j.Record(nil, buf); err != nil {
+				t.Fatal(err)
+			}
+			bc.Release(buf)
+			if err := j.End(nil); !errors.Is(err, hw.ErrBadSector) {
+				t.Fatalf("End = %v, want the device's %v", err, hw.ErrBadSector)
+			}
+			if err := j.Sync(nil); !errors.Is(err, hw.ErrBadSector) {
+				t.Fatalf("Sync = %v, want the device's %v", err, hw.ErrBadSector)
+			}
+			frozen, err := bc.Get(nil, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bc.Frozen(frozen) || frozen.Data[0] != 0xB2 {
+				t.Fatalf("failed batch left the cache: frozen=%v data=%#x", bc.Frozen(frozen), frozen.Data[0])
+			}
+			bc.Release(frozen)
+			if err := bc.Flush(nil); err != nil {
+				t.Fatal(err)
+			}
+			if home := devBlock(t, rd, b); home[0] == 0xB2 {
+				t.Fatal("uncommitted block reached its home")
+			}
+
+			// Crash: a fresh cache and journal over the surviving media.
+			n, err := jnl.New(newCache(rd), logStart, logSize).Recover(nil)
+			if err != nil || n != 1 {
+				t.Fatalf("Recover = %d, %v; want the 1 committed slot", n, err)
+			}
+			if home := devBlock(t, rd, a); home[0] != 0xA1 {
+				t.Fatalf("committed block not replayed: %#x", home[0])
+			}
+			if home := devBlock(t, rd, b); home[0] == 0xB2 {
+				t.Fatal("the failed transaction was replayed")
+			}
+			rep, err := xfsck.Check(rd, xfsck.Strict)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Clean() {
+				t.Fatalf("xfsck after recovery: %v", rep.Errors)
+			}
+		})
 	}
 }

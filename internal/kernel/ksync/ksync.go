@@ -190,6 +190,9 @@ type SleepLock struct {
 	// (buffer recycle under the shard lock), read by Lock/LockNested.
 	rank  Rank
 	order int64
+	// holder is the goroutine the checker recorded this lock as held by,
+	// so Unlock skips the id lookup. Guarded by rankMu.
+	holder int64
 }
 
 // Lock acquires for task t, sleeping while held elsewhere. A nil task is
@@ -211,13 +214,19 @@ const (
 )
 
 func (l *SleepLock) lock(t *sched.Task, nested bool) {
+	var g int64 // goroutine ids start at 1: 0 means unchecked
 	if l.rank != RankNone && rankCheckOn.Load() {
-		rankCheckAcquire(l, nested)
+		g = goid()
+		rankCheckOrder(g, l, nested)
 	}
-	if l.state.CompareAndSwap(sleepFree, sleepHeld) {
-		return
+	if !l.state.CompareAndSwap(sleepFree, sleepHeld) {
+		l.lockSlow(t)
 	}
-	l.lockSlow(t)
+	if g != 0 {
+		// Recorded only once held: a blocked waiter must not claim the
+		// holder field of a lock another goroutine still holds.
+		rankRecord(g, l)
+	}
 }
 
 // lockSlow is the contended acquisition: retry the CAS, sleeping between
@@ -238,7 +247,7 @@ func (l *SleepLock) lockSlow(t *sched.Task) {
 // Unlock releases and, if any task is waiting, wakes one.
 func (l *SleepLock) Unlock() {
 	if l.rank != RankNone && rankCheckOn.Load() {
-		rankCheckRelease(l)
+		rankCheckRelease(l, 0)
 	}
 	if !l.state.CompareAndSwap(sleepHeld, sleepFree) {
 		panic("ksync: unlock of unlocked sleeplock")
@@ -296,7 +305,9 @@ func (l *RWSleepLock) SetRank(r Rank, order int64) { l.sent.SetRank(r, order) }
 // checkpoint, never unwinding from inside the acquisition.
 func (l *RWSleepLock) RLock(t *sched.Task) {
 	if l.sent.rank != RankNone && rankCheckOn.Load() {
-		rankCheckAcquire(&l.sent, false)
+		g := goid()
+		rankCheckOrder(g, &l.sent, false)
+		rankRecord(g, &l.sent)
 	}
 	for {
 		l.mu.Lock()
@@ -323,7 +334,7 @@ func (l *RWSleepLock) RLock(t *sched.Task) {
 // now have a clear run).
 func (l *RWSleepLock) RUnlock() {
 	if l.sent.rank != RankNone && rankCheckOn.Load() {
-		rankCheckRelease(&l.sent)
+		rankCheckRelease(&l.sent, goid())
 	}
 	l.mu.Lock()
 	if l.readers <= 0 {
@@ -344,7 +355,9 @@ func (l *RWSleepLock) RUnlock() {
 // which would otherwise block every future shared acquisition forever.
 func (l *RWSleepLock) Lock(t *sched.Task) {
 	if l.sent.rank != RankNone && rankCheckOn.Load() {
-		rankCheckAcquire(&l.sent, false)
+		g := goid()
+		rankCheckOrder(g, &l.sent, false)
+		rankRecord(g, &l.sent)
 	}
 	l.mu.Lock()
 	l.wpend++
@@ -370,7 +383,7 @@ func (l *RWSleepLock) Lock(t *sched.Task) {
 // Unlock releases an exclusive hold and wakes all waiters.
 func (l *RWSleepLock) Unlock() {
 	if l.sent.rank != RankNone && rankCheckOn.Load() {
-		rankCheckRelease(&l.sent)
+		rankCheckRelease(&l.sent, goid())
 	}
 	l.mu.Lock()
 	if !l.writer {
@@ -480,14 +493,13 @@ func goid() int64 {
 	return id
 }
 
-// rankCheckAcquire asserts that taking l now respects the hierarchy, then
-// records it as held.
-func rankCheckAcquire(l *SleepLock, nested bool) {
-	g := goid()
+// rankCheckOrder asserts that goroutine g taking l now respects the
+// hierarchy. It runs before the acquisition, so an inversion panics
+// instead of deadlocking.
+func rankCheckOrder(g int64, l *SleepLock, nested bool) {
 	rankMu.Lock()
 	defer rankMu.Unlock()
-	held := rankHeld[g]
-	for _, h := range held {
+	for _, h := range rankHeld[g] {
 		if h == l {
 			panic(fmt.Sprintf("ksync: recursive acquisition of %v lock (order %d)", l.rank, l.order))
 		}
@@ -500,15 +512,27 @@ func rankCheckAcquire(l *SleepLock, nested bool) {
 				l.rank, l.order, h.order))
 		}
 	}
-	rankHeld[g] = append(held, l)
 }
 
-// rankCheckRelease forgets a held lock. Locks taken before checking was
-// enabled are simply not found, which is fine.
-func rankCheckRelease(l *SleepLock) {
-	g := goid()
+// rankRecord adds l to g's held list and notes g on l for Unlock. An
+// RWSleepLock sentinel's readers overwrite each other's note, so their
+// releases pass their own id instead.
+func rankRecord(g int64, l *SleepLock) {
+	rankMu.Lock()
+	rankHeld[g] = append(rankHeld[g], l)
+	l.holder = g
+	rankMu.Unlock()
+}
+
+// rankCheckRelease forgets g's hold of l; g 0 means the goroutine
+// rankRecord noted on l. Locks taken before checking was enabled are
+// simply not found, which is fine.
+func rankCheckRelease(l *SleepLock, g int64) {
 	rankMu.Lock()
 	defer rankMu.Unlock()
+	if g == 0 {
+		g = l.holder
+	}
 	held := rankHeld[g]
 	for i := len(held) - 1; i >= 0; i-- {
 		if held[i] == l {

@@ -1,6 +1,9 @@
 package ksync
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 func mustPanic(t *testing.T, what string, fn func()) {
 	t.Helper()
@@ -95,4 +98,52 @@ func TestRankCheckOffCostsNothing(t *testing.T) {
 	ino.Lock(nil)
 	ino.Unlock()
 	alloc.Unlock()
+}
+
+// TestRankCheckContendedChurnLeavesNoHolds: the checker records a lock
+// only once it is held and forgets it under the id it recorded, so
+// goroutines fighting over the same ranked locks (blocked waiters
+// included) leave the held-lock table empty and never trip a false
+// order violation.
+func TestRankCheckContendedChurnLeavesNoHolds(t *testing.T) {
+	SetRankCheck(true)
+	defer SetRankCheck(false)
+	var ino, buf SleepLock
+	var rw RWSleepLock
+	ino.SetRank(RankInode, 1)
+	rw.SetRank(RankAlloc, 1)
+	buf.SetRank(RankBuffer, 1)
+
+	const workers, rounds = 4, 500
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				ino.Lock(nil)
+				if i%2 == 0 {
+					rw.RLock(nil)
+					buf.Lock(nil)
+					buf.Unlock()
+					rw.RUnlock()
+				} else {
+					buf.Lock(nil)
+					buf.Unlock()
+				}
+				ino.Unlock()
+				// Readers share the RW sentinel with each other.
+				rw.RLock(nil)
+				buf.Lock(nil)
+				buf.Unlock()
+				rw.RUnlock()
+			}
+		}()
+	}
+	wg.Wait()
+	rankMu.Lock()
+	defer rankMu.Unlock()
+	if len(rankHeld) != 0 {
+		t.Fatalf("held-lock table not empty after churn: %d goroutines still listed", len(rankHeld))
+	}
 }

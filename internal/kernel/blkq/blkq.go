@@ -131,6 +131,7 @@ type Queue struct {
 	nextTag  uint64
 	head     int // elevator position: first LBA the next sweep considers
 	plugs    int // Plug nesting depth; dispatch holds while > 0
+	direct   int // direct-issue transfers at the device (0 or 1); they hold depth slots
 
 	// plugOwner tracks how many of the explicit plugs each TASK holds, so
 	// wait can park a sleeping submitter's plugs (see wait). Host-side
@@ -235,20 +236,85 @@ func (q *Queue) WriteBlocks(lba, n int, src []byte) error {
 // ReadBlocksT implements fs.TaskBlockDevice: submit and sleep until the
 // completion IRQ wakes us.
 func (q *Queue) ReadBlocksT(t *sched.Task, lba, n int, dst []byte) error {
-	r, err := q.submit(t, false, true, lba, n, dst)
+	return q.transfer(t, false, lba, n, dst)
+}
+
+// WriteBlocksT implements fs.TaskBlockDevice.
+func (q *Queue) WriteBlocksT(t *sched.Task, lba, n int, src []byte) error {
+	return q.transfer(t, true, lba, n, src)
+}
+
+// transfer is the waited-request path: direct issue when the queue is
+// idle over a synchronous device, otherwise submit and sleep.
+func (q *Queue) transfer(t *sched.Task, write bool, lba, n int, buf []byte) error {
+	if err := q.checkRange(lba, n, buf); err != nil {
+		return err
+	}
+	if ok, err := q.tryDirect(t, write, lba, n, buf); ok {
+		return err
+	}
+	r, err := q.submit(t, write, true, lba, n, buf)
 	if err != nil {
 		return err
 	}
 	return q.wait(t, r)
 }
 
-// WriteBlocksT implements fs.TaskBlockDevice.
-func (q *Queue) WriteBlocksT(t *sched.Task, lba, n int, src []byte) error {
-	r, err := q.submit(t, true, true, lba, n, src)
-	if err != nil {
-		return err
+// checkRange rejects a request outside the device or over a short buffer.
+func (q *Queue) checkRange(lba, n int, buf []byte) error {
+	if lba < 0 || n <= 0 || lba+n > q.dev.Blocks() {
+		return fmt.Errorf("blkq: bad range [%d,%d)", lba, lba+n)
 	}
-	return q.wait(t, r)
+	if len(buf) < n*q.bs {
+		return fmt.Errorf("blkq: %d-block request over %d bytes", n, len(buf))
+	}
+	return nil
+}
+
+// tryDirect is direct issue (see the package comment): a waited request
+// at an idle queue over a synchronous device goes straight to the device,
+// with no request or command object, and is counted as one submitted
+// request and one dispatched command — exactly what the elevator would
+// have recorded for it. It reports false, having done nothing, when the
+// queue is not idle. A failed transfer becomes a tracked one-request
+// command and enters the failure policy as its first attempt, so retries,
+// bad-sector handling and the dead latch behave as on the elevator path.
+func (q *Queue) tryDirect(t *sched.Task, write bool, lba, n int, buf []byte) (bool, error) {
+	if q.abe != nil {
+		return false, nil
+	}
+	q.mu.Lock(t)
+	if q.dead || q.plugs > 0 || q.antOpen || len(q.pending) > 0 || len(q.inflight) > 0 || q.direct > 0 {
+		q.mu.Unlock()
+		return false, nil
+	}
+	q.direct++
+	q.mu.Unlock()
+	err := q.syncIO(write, lba, n, buf)
+	q.mu.Lock(t)
+	q.direct--
+	q.submitted++
+	q.dispatched++
+	q.head = lba + n
+	// The elevator would have held this request alone in pending, then
+	// alone in flight.
+	q.queuedPeak = max(q.queuedPeak, 1)
+	q.depthPeak = max(q.depthPeak, 1)
+	if err == nil {
+		queued := len(q.pending) > 0
+		q.mu.Unlock()
+		if queued {
+			q.kick(t) // requests that arrived during the transfer
+		}
+		return true, nil
+	}
+	r := &request{write: write, lba: lba, n: n, buf: buf}
+	q.nextTag++
+	cmd := &command{tag: q.nextTag, write: write, lba: lba, n: n, buf: buf[:n*q.bs], reqs: []*request{r}}
+	q.inflight[cmd.tag] = cmd
+	q.mu.Unlock()
+	q.finish(t, cmd.tag, err)
+	return true, q.wait(t, r)
 }
 
 // ticket adapts a request to fs.BlockTicket.
@@ -264,6 +330,9 @@ func (tk ticket) Wait(t *sched.Task) error { return tk.q.wait(t, tk.r) }
 // ticket; the writeback paths keep several in flight to fill the device
 // queue. src must stay stable until Wait returns.
 func (q *Queue) SubmitWrite(t *sched.Task, lba, n int, src []byte) (fs.BlockTicket, error) {
+	if err := q.checkRange(lba, n, src); err != nil {
+		return nil, err
+	}
 	r, err := q.submit(t, true, false, lba, n, src)
 	if err != nil {
 		return nil, err
@@ -396,16 +465,10 @@ func (q *Queue) flushAnticipation(t *sched.Task) {
 	}
 }
 
-// submit validates and enqueues one request, then kicks dispatch. waitsNow
-// marks a submitter that sleeps on the request straight away (ReadBlocksT,
-// WriteBlocksT) rather than holding a ticket.
+// submit enqueues one request whose range the caller has checked, then
+// kicks dispatch. waitsNow marks a submitter that sleeps on the request
+// straight away (ReadBlocksT, WriteBlocksT) rather than holding a ticket.
 func (q *Queue) submit(t *sched.Task, write, waitsNow bool, lba, n int, buf []byte) (*request, error) {
-	if lba < 0 || n <= 0 || lba+n > q.dev.Blocks() {
-		return nil, fmt.Errorf("blkq: bad range [%d,%d)", lba, lba+n)
-	}
-	if len(buf) < n*q.bs {
-		return nil, fmt.Errorf("blkq: %d-block request over %d bytes", n, len(buf))
-	}
 	r := &request{write: write, lba: lba, n: n, buf: buf}
 	q.mu.Lock(t)
 	if q.dead {
@@ -413,7 +476,7 @@ func (q *Queue) submit(t *sched.Task, write, waitsNow bool, lba, n int, buf []by
 		q.mu.Unlock()
 		return nil, err
 	}
-	idle := len(q.pending) == 0 && len(q.inflight) == 0
+	idle := len(q.pending) == 0 && len(q.inflight) == 0 && q.direct == 0
 	// Insert in LBA order (the elevator's working order).
 	i := sort.Search(len(q.pending), func(i int) bool { return q.pending[i].lba >= lba })
 	q.pending = append(q.pending, nil)
@@ -493,7 +556,7 @@ func (q *Queue) wait(t *sched.Task, r *request) error {
 func (q *Queue) kick(t *sched.Task) {
 	for {
 		q.mu.Lock(t)
-		if q.plugs > 0 || q.antOpen || len(q.inflight) >= q.depth || len(q.pending) == 0 {
+		if q.plugs > 0 || q.antOpen || len(q.inflight)+q.direct >= q.depth || len(q.pending) == 0 {
 			q.mu.Unlock()
 			return
 		}
@@ -501,7 +564,7 @@ func (q *Queue) kick(t *sched.Task) {
 		q.inflight[cmd.tag] = cmd
 		q.dispatched++
 		q.merged += int64(len(cmd.reqs) - 1)
-		if l := int64(len(q.inflight)); l > q.depthPeak {
+		if l := int64(len(q.inflight) + q.direct); l > q.depthPeak {
 			q.depthPeak = l
 		}
 		q.mu.Unlock()
@@ -539,13 +602,15 @@ func (q *Queue) issue(t *sched.Task, cmd *command) {
 	}
 	// Synchronous device: this context is the "driver"; do the IO and
 	// complete the command ourselves.
-	var err error
-	if cmd.write {
-		err = q.dev.WriteBlocks(cmd.lba, cmd.n, buf)
-	} else {
-		err = q.dev.ReadBlocks(cmd.lba, cmd.n, buf)
+	q.finish(t, tag, q.syncIO(cmd.write, cmd.lba, cmd.n, buf))
+}
+
+// syncIO performs one transfer on the synchronous device, inline.
+func (q *Queue) syncIO(write bool, lba, n int, buf []byte) error {
+	if write {
+		return q.dev.WriteBlocks(lba, n, buf)
 	}
-	q.finish(t, tag, err)
+	return q.dev.ReadBlocks(lba, n, buf)
 }
 
 // timeout is the command timer's callback: the device never answered for

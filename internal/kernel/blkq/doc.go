@@ -76,6 +76,35 @@
 //     as soon as it opened, having only armed and cancelled a timer.
 //     They still count as hits when they land in an open one.
 //
+// # Direct issue
+//
+// A waited request (ReadBlocksT, WriteBlocksT) on a synchronous backend
+// skips the elevator when the queue is idle, like blk-mq's
+// blk_mq_try_issue_directly. Idle means, all under the queue lock: the
+// queue is not dead, no explicit plug is held, no anticipatory window is
+// open, nothing is pending, nothing is in flight, and no other direct
+// transfer is running. The submitter then drops the lock, calls the
+// device itself and allocates nothing: no request, no command.
+//
+//   - Stats: the transfer counts one submitted request and one dispatched
+//     command, and the queued and in-flight peaks reach at least 1 —
+//     exactly what the elevator would have recorded for a request that
+//     found the queue idle. Statistics do not tell the two routes apart.
+//   - Depth: a direct transfer holds a device slot. kick's depth check and
+//     submit's idle test (which decides whether a ticket opens an
+//     anticipatory window) both count it, and its end kicks dispatch if
+//     requests queued behind it.
+//   - Failure: a failed direct transfer becomes a tracked one-request
+//     command and enters the failure policy as its first attempt (attempt
+//     0), then its submitter waits on it. Retries, bad-sector handling
+//     and the dead latch are the elevator path's; falling back to the
+//     elevator instead would grant one extra attempt.
+//
+// Async backends never take the path: a waiter there sleeps until the
+// completion IRQ, which needs the command tracked by tag, and issuing
+// from the submitter would gain nothing the IRQ-driven dispatch does not
+// already give.
+//
 // # Caller invariants
 //
 // Two invariants callers must keep (the buffer cache does, via its

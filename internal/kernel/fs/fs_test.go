@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"path"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -93,6 +94,58 @@ func TestCleanCleanPathAllocs(t *testing.T) {
 			t.Errorf("Clean(%q) allocated %.0f times, want 0", p, n)
 		}
 	}
+}
+
+// rootedClean is Clean's definition: path.Clean of the path made rooted.
+func rootedClean(p string) string {
+	if p == "" || p[0] != '/' {
+		p = "/" + p
+	}
+	return path.Clean(p)
+}
+
+// TestCleanFastPath covers isClean's one-pass check on both sides of its
+// line: clean paths come back as the same string, every near-miss falls
+// through to path.Clean.
+func TestCleanFastPath(t *testing.T) {
+	for _, tc := range []struct {
+		in    string
+		clean bool
+	}{
+		{"/", true},
+		{"/a", true},
+		{"/a/b.c/d", true},
+		{"/.a/..b/...", true},
+		{"", false},
+		{"a", false},
+		{"//", false},
+		{"/a/", false},
+		{"/a//b", false},
+		{"/.", false},
+		{"/..", false},
+		{"/a/.", false},
+		{"/a/../b", false},
+		{"/./a", false},
+	} {
+		if got := isClean(tc.in); got != tc.clean {
+			t.Errorf("isClean(%q) = %v, want %v", tc.in, got, tc.clean)
+		}
+		if got, want := Clean(tc.in), rootedClean(tc.in); got != want {
+			t.Errorf("Clean(%q) = %q, want %q", tc.in, got, want)
+		}
+	}
+}
+
+// FuzzClean checks Clean against its definition on arbitrary input.
+func FuzzClean(f *testing.F) {
+	for _, s := range []string{"", "/", "/a/b", "a/./b/", "/..", "//x/../y/."} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, p string) {
+		if got, want := Clean(p), rootedClean(p); got != want {
+			t.Fatalf("Clean(%q) = %q, want %q", p, got, want)
+		}
+	})
 }
 
 func TestSplitPath(t *testing.T) {

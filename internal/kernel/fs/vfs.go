@@ -15,21 +15,30 @@ import (
 // FatFS and everything else to xv6fs (§4.5).
 type VFS struct {
 	mu     sync.RWMutex
-	mounts map[string]FileSystem // mount point -> fs ("/" must exist)
+	mounts []mount // longest mount point first ("/" must exist)
+}
+
+// mount is one entry of the mount table.
+type mount struct {
+	point string
+	fsys  FileSystem
 }
 
 // NewVFS returns an empty mount table.
-func NewVFS() *VFS { return &VFS{mounts: make(map[string]FileSystem)} }
+func NewVFS() *VFS { return &VFS{} }
 
 // Mount attaches fsys at point ("/", "/d", "/dev", "/proc").
 func (v *VFS) Mount(point string, fsys FileSystem) error {
 	point = Clean(point)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if _, dup := v.mounts[point]; dup {
-		return fmt.Errorf("vfs: %s already mounted", point)
+	for _, m := range v.mounts {
+		if m.point == point {
+			return fmt.Errorf("vfs: %s already mounted", point)
+		}
 	}
-	v.mounts[point] = fsys
+	v.mounts = append(v.mounts, mount{point, fsys})
+	sort.SliceStable(v.mounts, func(i, j int) bool { return len(v.mounts[i].point) > len(v.mounts[j].point) })
 	return nil
 }
 
@@ -37,41 +46,34 @@ func (v *VFS) Mount(point string, fsys FileSystem) error {
 func (v *VFS) MountPoints() []string {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	pts := make([]string, 0, len(v.mounts))
-	for p := range v.mounts {
-		pts = append(pts, p)
+	pts := make([]string, len(v.mounts))
+	for i, m := range v.mounts {
+		pts[i] = m.point
 	}
-	sort.Slice(pts, func(i, j int) bool { return len(pts[i]) > len(pts[j]) })
 	return pts
 }
 
-// resolve finds the filesystem owning path and the path relative to it.
+// resolve finds the filesystem owning path and the path relative to it:
+// the first mount point, longest first, that prefixes path at a
+// component boundary.
 func (v *VFS) resolve(path string) (FileSystem, string, error) {
 	path = Clean(path)
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	best := ""
-	var bestFS FileSystem
-	for point, fsys := range v.mounts {
-		if !strings.HasPrefix(path, point) {
-			continue
+	for _, m := range v.mounts {
+		if m.point == "/" {
+			return m.fsys, path, nil
 		}
 		// "/d" must not match "/data": the next byte must be '/' or end.
-		if point != "/" && len(path) > len(point) && path[len(point)] != '/' {
+		if !strings.HasPrefix(path, m.point) || len(path) > len(m.point) && path[len(m.point)] != '/' {
 			continue
 		}
-		if len(point) > len(best) {
-			best, bestFS = point, fsys
+		if rel := path[len(m.point):]; rel != "" {
+			return m.fsys, rel, nil
 		}
+		return m.fsys, "/", nil
 	}
-	if bestFS == nil {
-		return nil, "", fmt.Errorf("vfs: no filesystem for %q", path)
-	}
-	rel := strings.TrimPrefix(path, best)
-	if !strings.HasPrefix(rel, "/") {
-		rel = "/" + rel
-	}
-	return bestFS, rel, nil
+	return nil, "", fmt.Errorf("vfs: no filesystem for %q", path)
 }
 
 // Open opens path with flags, returning a fresh open file description
@@ -139,9 +141,9 @@ func (v *VFS) Rename(t *sched.Task, oldPath, newPath string) error {
 // than blocks behind, IO on its own.
 func (v *VFS) SyncAll(t *sched.Task) error {
 	v.mu.RLock()
-	fss := make([]FileSystem, 0, len(v.mounts))
-	for _, fsys := range v.mounts {
-		fss = append(fss, fsys)
+	fss := make([]FileSystem, len(v.mounts))
+	for i, m := range v.mounts {
+		fss[i] = m.fsys
 	}
 	v.mu.RUnlock()
 	var firstErr error
@@ -169,10 +171,35 @@ func (v *VFS) Stat(t *sched.Task, path string) (Stat, error) {
 // It runs several times per syscall, so an already-clean path comes back
 // as is, without allocating.
 func Clean(p string) string {
+	if isClean(p) {
+		return p
+	}
 	if p == "" || p[0] != '/' {
 		p = "/" + p
 	}
 	return path.Clean(p)
+}
+
+// isClean reports in one pass whether p is already in Clean's form:
+// rooted, no trailing '/' unless p is the root, and no empty, "." or
+// ".." segment.
+func isClean(p string) bool {
+	if p == "" || p[0] != '/' {
+		return false
+	}
+	if p == "/" {
+		return true
+	}
+	for rest := p[1:]; ; {
+		seg, tail, more := strings.Cut(rest, "/")
+		if seg == "" || seg == "." || seg == ".." {
+			return false
+		}
+		if !more {
+			return true
+		}
+		rest = tail
+	}
 }
 
 // IsPathAncestor reports whether cleaned path a strictly contains cleaned

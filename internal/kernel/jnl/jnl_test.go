@@ -445,11 +445,12 @@ func TestRecordOutsideBracketFails(t *testing.T) {
 
 // commitAllocBudget bounds the heap allocations of one single-block
 // Begin/Record/End commit over a ramdisk cache. The slot run and the
-// header go out of journal-owned buffers as two queue writes, and the six
-// allocations left are blkq's: per write, the request (submit) and two
-// for its dispatched command (buildCommandLocked). Staging the log
-// through cache buffers cost 22.
-const commitAllocBudget = 6
+// header go out of journal-owned buffers as two queue writes, and each
+// finds the synchronous queue idle, so blkq issues it directly with no
+// request or command object: nothing is allocated. Dispatching both
+// writes through the elevator cost 6; staging the log through cache
+// buffers cost 22.
+const commitAllocBudget = 0
 
 // TestCommitAllocs is a host-independent guard on commit cost: the
 // allocation count of a commit does not move with machine load the way

@@ -20,12 +20,20 @@ func encodeDirent(inum int, name string, b []byte) {
 }
 
 func decodeDirent(b []byte) (inum int, name string) {
-	inum = int(b[0]) | int(b[1])<<8
+	return direntInum(b), string(direntName(b))
+}
+
+// direntInum is the entry's inum (0 = empty slot).
+func direntInum(b []byte) int { return int(b[0]) | int(b[1])<<8 }
+
+// direntName is the entry's name, aliasing b: comparing string(name)
+// against a string does not allocate.
+func direntName(b []byte) []byte {
 	raw := b[2:DirentSize]
 	if i := bytes.IndexByte(raw, 0); i >= 0 {
 		raw = raw[:i]
 	}
-	return inum, string(raw)
+	return raw
 }
 
 // dirLookup scans directory dp for name. Returns the entry's inum and byte
@@ -36,8 +44,7 @@ func (f *FS) dirLookup(t *sched.Task, dp *inode, name string) (inum int, off int
 		if _, err := f.readData(t, dp, o, buf); err != nil {
 			return 0, 0, err
 		}
-		in, n := decodeDirent(buf)
-		if in != 0 && n == name {
+		if in := direntInum(buf); in != 0 && string(direntName(buf)) == name {
 			return in, o, nil
 		}
 	}
@@ -56,7 +63,7 @@ func (f *FS) dirLink(t *sched.Task, dp *inode, name string, inum int) error {
 		if _, err := f.readData(t, dp, o, buf); err != nil {
 			return err
 		}
-		if in, _ := decodeDirent(buf); in == 0 {
+		if direntInum(buf) == 0 {
 			off = o
 			break
 		}
@@ -104,8 +111,8 @@ func (f *FS) isDirEmpty(t *sched.Task, dp *inode) (bool, error) {
 		if _, err := f.readData(t, dp, o, buf); err != nil {
 			return false, err
 		}
-		inum, name := decodeDirent(buf)
-		if inum != 0 && name != "." && name != ".." {
+		name := direntName(buf)
+		if direntInum(buf) != 0 && string(name) != "." && string(name) != ".." {
 			return false, nil
 		}
 	}
@@ -144,17 +151,17 @@ func (f *FS) dirEntries(t *sched.Task, dp *inode) ([]fs.DirEntry, error) {
 // no directory inode locks at all — and falls back to the classic
 // hand-over-hand locked walk on any miss or generation bump. The locked
 // walk holds at most one inode lock (each directory only while looking
-// up the next segment) and fills the cache as it goes.
+// up the next segment) and fills the cache as it goes. Both walks take
+// the cleaned path and step through its components in place.
 func (f *FS) namex(t *sched.Task, path string) (*inode, error) {
 	path = fs.Clean(path)
 	if path == "/" {
 		return f.iget(rootInum), nil
 	}
-	segs := strings.Split(path[1:], "/")
-	if ip, err, done := f.namexFast(t, segs); done {
+	if ip, err, done := f.namexFast(t, path); done {
 		return ip, err
 	}
-	return f.namexLocked(t, segs)
+	return f.namexLocked(t, path)
 }
 
 // namexFast is the lock-free walk. It snapshots the mount's mutation
@@ -165,14 +172,16 @@ func (f *FS) namex(t *sched.Task, path string) (*inode, error) {
 // meaning at that instant. The final iget lands inside that window, so
 // the returned reference pins the inode against inum reuse. done=false
 // means a component missed or the generation moved: take the locked walk.
-func (f *FS) namexFast(t *sched.Task, segs []string) (_ *inode, _ error, done bool) {
+func (f *FS) namexFast(t *sched.Task, path string) (_ *inode, _ error, done bool) {
 	dc := f.dc
 	if dc == nil || dc.Dead() {
 		return nil, nil, false
 	}
 	gen := dc.Gen()
 	cur := int64(rootInum)
-	for _, seg := range segs {
+	for rest := path[1:]; rest != ""; {
+		var seg string
+		seg, rest, _ = strings.Cut(rest, "/")
 		e, ok := dc.Lookup(cur, seg)
 		if !ok {
 			dc.FastPathFellBack()
@@ -204,9 +213,11 @@ func (f *FS) namexFast(t *sched.Task, segs []string) (_ *inode, _ error, done bo
 // lock it consults the cache first (an entry observed under the parent's
 // lock is truthful — mutations invalidate under that same lock), scans
 // the directory only on a miss, and fills what the scan proved.
-func (f *FS) namexLocked(t *sched.Task, segs []string) (*inode, error) {
+func (f *FS) namexLocked(t *sched.Task, path string) (*inode, error) {
 	ip := f.iget(rootInum)
-	for _, seg := range segs {
+	for rest := path[1:]; rest != ""; {
+		var seg string
+		seg, rest, _ = strings.Cut(rest, "/")
 		if err := f.ilock(t, ip); err != nil {
 			f.iput(t, ip)
 			return nil, err

@@ -226,6 +226,15 @@ type FS struct {
 	ialloc ksync.SleepLock
 	balloc ksync.SleepLock
 
+	// Allocator hints, FFS/ext2-style but exact: every inum below ifree
+	// (guarded by ialloc) and every data block below bfree (guarded by
+	// balloc) is allocated, so a scan may start there and still return
+	// the lowest free one — the same inum or block a scan from the start
+	// would. Allocations raise them past what they claim; frees lower
+	// them. In memory only: a mount starts both at the bottom.
+	ifree int
+	bfree int
+
 	// log is the write-ahead metadata journal (nil on legacy images with
 	// no log region). Every entry point that can modify metadata brackets
 	// itself with beginOp/endOp — exactly one bracket per entry point,
@@ -308,6 +317,7 @@ func MountWith(dev fs.BlockDevice, t *sched.Task, copts bcache.Options) (*FS, er
 	if err := f.sb.validate(dev.Blocks()); err != nil {
 		return nil, err
 	}
+	f.ifree, f.bfree = rootInum, int(f.sb.DataStart)
 	if f.sb.LogSize > 0 {
 		f.log = jnl.New(f.bc, int(f.sb.LogStart), int(f.sb.LogSize))
 		// Recovery before anything reads metadata: replay the committed
@@ -685,6 +695,7 @@ func (f *FS) iput(t *sched.Task, ip *inode) {
 		if err := f.iupdate(t, ip); rerr == nil {
 			rerr = err
 		}
+		f.ifree = min(f.ifree, ip.inum)
 		f.ialloc.Unlock()
 		f.opAbort(rerr)
 		ip.valid = false
@@ -748,34 +759,42 @@ func (f *FS) writeMeta(t *sched.Task, lba int, fn func(data []byte)) error {
 	return err
 }
 
-// allocBlock finds a zero bit in the bitmap, sets it, zeroes the block.
-// The scan-and-claim runs under balloc so two writers can't claim the same
-// block; the zeroing write happens after the claim, outside any allocator
-// state, because the block is already private to the caller. Blocks the
-// journal still revokes are skipped (see jnl.Revoke): reusing one for
-// unjournaled file data could let replay write stale metadata over it. If
-// they were the only free ones, the error is errOnlyRevoked.
+// allocBlock finds the lowest zero bit in the bitmap, sets it, zeroes the
+// block. The scan starts at the bfree hint, a byte at a time over full
+// bytes, and runs under balloc so two writers can't claim the same block;
+// the zeroing write happens after the claim, outside any allocator state,
+// because the block is already private to the caller. Blocks the journal
+// still revokes are skipped (see jnl.Revoke): reusing one for unjournaled
+// file data could let replay write stale metadata over it. If they were
+// the only free ones, the error is errOnlyRevoked. A skipped block keeps
+// its bit clear, so the hint stays at the lowest one.
 // The zeroing write is deliberately NOT journaled — the block is
 // unreachable from any committed metadata until this transaction's
 // pointers to it commit, so a premature writeback of zeros can only land
 // in a dead block.
 func (f *FS) allocBlock(t *sched.Task) (int, error) {
+	const bitsPerBlock = BlockSize * 8
 	f.balloc.Lock(t)
-	found, revoked := -1, false
+	found, lowRevoked := -1, -1
 	total := int(f.sb.Size)
-	for bmBlock := 0; found < 0 && bmBlock*BlockSize*8 < total; bmBlock++ {
+	start := max(f.bfree, int(f.sb.DataStart))
+	for bmBlock := start / bitsPerBlock; found < 0 && bmBlock*bitsPerBlock < total; bmBlock++ {
+		base := bmBlock * bitsPerBlock
 		err := f.writeMeta(t, int(f.sb.BitmapStart)+bmBlock, func(data []byte) {
-			for i := 0; i < BlockSize*8; i++ {
-				blockNo := bmBlock*BlockSize*8 + i
+			for i := max(start-base, 0); i < bitsPerBlock; i++ {
+				if i%8 == 0 && data[i/8] == 0xFF {
+					i += 7
+					continue
+				}
+				blockNo := base + i
 				if blockNo >= total {
 					return
 				}
-				if blockNo < int(f.sb.DataStart) {
-					continue // metadata blocks are permanently "allocated"
-				}
 				if data[i/8]&(1<<(i%8)) == 0 {
 					if f.log != nil && f.log.Revoked(blockNo) {
-						revoked = true
+						if lowRevoked < 0 {
+							lowRevoked = blockNo
+						}
 						continue // freed, but a logged txn may replay over it
 					}
 					data[i/8] |= 1 << (i % 8)
@@ -789,9 +808,17 @@ func (f *FS) allocBlock(t *sched.Task) (int, error) {
 			return 0, err
 		}
 	}
+	switch {
+	case lowRevoked >= 0:
+		f.bfree = lowRevoked
+	case found >= 0:
+		f.bfree = found + 1
+	default:
+		f.bfree = total
+	}
 	f.balloc.Unlock()
 	if found < 0 {
-		if revoked {
+		if lowRevoked >= 0 {
 			return 0, errOnlyRevoked
 		}
 		return 0, fs.ErrNoSpace
@@ -806,15 +833,17 @@ func (f *FS) allocBlock(t *sched.Task) (int, error) {
 	return found, nil
 }
 
-// freeBlock clears the bitmap bit for lba. On a journaled mount the block
-// is also revoked: quarantined from reallocation until the freeing
-// transaction commits and no logged transaction still names it.
+// freeBlock clears the bitmap bit for lba and lowers the bfree hint to it.
+// On a journaled mount the block is also revoked: quarantined from
+// reallocation until the freeing transaction commits and no logged
+// transaction still names it.
 func (f *FS) freeBlock(t *sched.Task, lba int) error {
 	f.balloc.Lock(t)
 	defer f.balloc.Unlock()
 	if f.log != nil {
 		f.log.Revoke(lba)
 	}
+	f.bfree = min(f.bfree, lba)
 	bmBlock := lba / (BlockSize * 8)
 	bit := lba % (BlockSize * 8)
 	return f.writeMeta(t, int(f.sb.BitmapStart)+bmBlock, func(data []byte) {
@@ -839,11 +868,12 @@ func (f *FS) writeInode(t *sched.Task, inum int, di *dinode) error {
 	})
 }
 
-// allocInode finds a free on-disk inode and claims it, under ialloc.
+// allocInode claims the lowest free on-disk inode, under ialloc. The scan
+// starts at the ifree hint instead of inum 1.
 func (f *FS) allocInode(t *sched.Task, typ uint16) (int, error) {
 	f.ialloc.Lock(t)
 	defer f.ialloc.Unlock()
-	for inum := 1; inum < int(f.sb.NInodes); inum++ {
+	for inum := f.ifree; inum < int(f.sb.NInodes); inum++ {
 		var di dinode
 		if err := f.readInode(t, inum, &di); err != nil {
 			return 0, err
@@ -853,9 +883,11 @@ func (f *FS) allocInode(t *sched.Task, typ uint16) (int, error) {
 			if err := f.writeInode(t, inum, &di); err != nil {
 				return 0, err
 			}
+			f.ifree = inum + 1
 			return inum, nil
 		}
 	}
+	f.ifree = int(f.sb.NInodes)
 	return 0, fs.ErrNoSpace
 }
 

@@ -65,7 +65,11 @@ type nicCompletion struct {
 // Two NICs cross-wired by NewLink form a full-duplex link with
 // configurable per-direction latency and bandwidth; each direction is a
 // FIFO wire (frames serialize in submit order and deliver in that order
-// unless a NetFaultPlan says otherwise).
+// unless a NetFaultPlan says otherwise). On the instant wire (the zero
+// LinkConfig, no fault plan) SubmitTX completes and delivers the frame
+// before it returns, unless another submitter is already draining the
+// direction; device goroutines exist only for a modelled wire or a
+// fault plan (see linkDir).
 type NIC struct {
 	name string
 	ic   *IRQController
@@ -93,13 +97,11 @@ func (n *NIC) SetNotify(fn func()) {
 }
 
 // raise signals ring activity: IRQNIC when a controller is wired, the
-// notify hook otherwise. Called with n.mu NOT held.
-func (n *NIC) raise() {
-	n.mu.Lock()
-	ic, fn := n.ic, n.notify
-	n.mu.Unlock()
-	if ic != nil {
-		ic.Raise(IRQNIC)
+// notify hook fn (read under n.mu by the caller) otherwise. Called with
+// n.mu NOT held.
+func (n *NIC) raise(fn func()) {
+	if n.ic != nil {
+		n.ic.Raise(IRQNIC)
 	}
 	if fn != nil {
 		fn()
@@ -138,8 +140,9 @@ func (n *NIC) completeTX(tag uint64, err error) {
 	n.inflight--
 	n.txComp = append(n.txComp, nicCompletion{tag: tag, err: err})
 	n.stats.TxIRQs++
+	fn := n.notify
 	n.mu.Unlock()
-	n.raise()
+	n.raise(fn)
 }
 
 // deliverRX lands a frame in the RX ring (wire side). A full ring drops
@@ -155,8 +158,9 @@ func (n *NIC) deliverRX(frame []byte) {
 	n.stats.RxFrames++
 	n.stats.RxBytes += uint64(len(frame))
 	n.stats.RxIRQs++
+	fn := n.notify
 	n.mu.Unlock()
-	n.raise()
+	n.raise(fn)
 }
 
 // PopTX collects one finished TX descriptor (tag and error), FIFO. The
@@ -210,7 +214,7 @@ func (n *NIC) Stats() NICStats {
 
 // Close downs the interface: future submits fail, its outbound wire
 // stops, queued RX frames are dropped. Closing both NICs of a link stops
-// all four wire goroutines.
+// whatever wire goroutines a modelled or faulted link started.
 func (n *NIC) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -224,7 +228,8 @@ func (n *NIC) Close() {
 }
 
 // LinkConfig shapes a full-duplex link. The zero value is an instant,
-// infinite-bandwidth wire (unit tests); benchmarks set real numbers.
+// infinite-bandwidth wire that delivers in the submitter (the kernel's
+// board link and most tests); a non-zero field runs the device pipeline.
 type LinkConfig struct {
 	// LatencyAB / LatencyBA delay delivery per direction (propagation
 	// time; overlaps with serialization of later frames).
@@ -255,23 +260,39 @@ type txFrame struct {
 }
 
 // linkDir is one direction of a link: a FIFO wire with serialization
-// (bandwidth) and propagation (latency) stages. Two goroutines model the
-// pipeline — the serializer occupies the wire per frame and completes the
-// TX descriptor; the deliverer sleeps out the propagation delay in FIFO
-// order so a long latency never reorders frames, then lands each frame in
-// the peer's RX ring. The optional NetFaultPlan sits between the stages.
+// (bandwidth) and propagation (latency) stages.
+//
+// The instant wire — zero latency, unlimited bandwidth, no fault plan,
+// the only shape the kernel boots — has no stage to model, so submit
+// delivers in the submitter: it queues the frame and drains the queue
+// itself unless another goroutine already is (the single-drainer
+// discipline of the stack's loopback queue). The drainer takes the queue
+// under mu and calls completeTX and deliverRX with mu dropped, so a
+// notify or IRQ handler that transmits on this very direction only
+// enqueues: it cannot deadlock, and frames cannot overtake each other.
+//
+// A modelled wire (latency or bandwidth) or a NetFaultPlan runs the
+// pipeline instead: two goroutines, started on first need. The serializer
+// occupies the wire per frame and completes the TX descriptor; the
+// deliverer sleeps out the propagation delay in FIFO order so a long
+// latency never reorders frames, then lands each frame in the peer's RX
+// ring. The fault plan sits between the stages. The pipeline starts only
+// while no inline drain runs — a drainer that finds a plan installed
+// hands its remainder to the pipeline — so FIFO holds across the switch.
 type linkDir struct {
 	name    string
 	dst     *NIC
 	latency time.Duration
 	bytesNS float64 // nanoseconds per byte (0 = infinite bandwidth)
 
-	mu      sync.Mutex
-	queue   []txFrame
-	cond    *sync.Cond
-	closed  bool
-	started bool
-	faults  *netFaultState
+	mu       sync.Mutex
+	queue    []txFrame
+	cond     *sync.Cond
+	closed   bool
+	started  bool      // pipeline goroutines running; the inline path is off for good
+	draining bool      // an inline drain owns the queue
+	spare    []txFrame // the drainer's other queue buffer
+	faults   *netFaultState
 
 	deliver chan delivery
 }
@@ -292,12 +313,31 @@ func newLinkDir(name string, dst *NIC, latency time.Duration, bandwidth int) *li
 		d.bytesNS = float64(time.Second) / float64(bandwidth)
 	}
 	d.cond = sync.NewCond(&d.mu)
-	d.deliver = make(chan delivery, NICRxRing)
 	return d
 }
 
-// submit queues a frame for the wire, starting the direction's goroutines
-// on first use (links in NIC-less tests cost nothing until touched).
+// instantLocked reports whether frames may skip the pipeline: nothing to
+// model on the wire, no fault plan, pipeline never started.
+func (d *linkDir) instantLocked() bool {
+	return !d.started && d.latency == 0 && d.bytesNS == 0 && d.faults == nil
+}
+
+// startLocked launches the pipeline goroutines (once). Called with mu
+// held and no inline drain running.
+func (d *linkDir) startLocked() {
+	if d.started {
+		return
+	}
+	d.started = true
+	d.deliver = make(chan delivery, NICRxRing)
+	go d.serialize()
+	go d.propagate()
+}
+
+// submit queues a frame for the wire. On the instant wire the first
+// submitter to find no drain running becomes the drainer; otherwise the
+// pipeline takes the frame (links in NIC-less tests start no goroutine
+// until touched).
 func (d *linkDir) submit(f txFrame) {
 	d.mu.Lock()
 	if d.closed {
@@ -305,29 +345,60 @@ func (d *linkDir) submit(f txFrame) {
 		f.src.completeTX(f.tag, ErrNICDown)
 		return
 	}
-	if !d.started {
-		d.started = true
-		go d.serialize()
-		go d.propagate()
-	}
 	d.queue = append(d.queue, f)
+	if d.draining {
+		// The running drainer delivers it, or hands it to the pipeline.
+		d.mu.Unlock()
+		return
+	}
+	if !d.instantLocked() {
+		d.startLocked()
+		d.mu.Unlock()
+		d.cond.Signal()
+		return
+	}
+	d.draining = true
+	for len(d.queue) > 0 && !d.closed && d.instantLocked() {
+		// Take the whole queue; submits made meanwhile (a handler
+		// transmitting from inside deliverRX) land in the spare.
+		batch := d.queue
+		d.queue = d.spare
+		d.mu.Unlock()
+		for i := range batch {
+			f := batch[i]
+			batch[i] = txFrame{}
+			f.src.completeTX(f.tag, nil)
+			d.dst.deliverRX(f.data)
+		}
+		d.mu.Lock()
+		d.spare = batch[:0]
+	}
+	d.draining = false
+	if len(d.queue) == 0 {
+		d.mu.Unlock()
+		return
+	}
+	if d.closed {
+		rest := d.queue
+		d.queue = nil
+		d.mu.Unlock()
+		for _, r := range rest {
+			r.src.completeTX(r.tag, ErrNICDown)
+		}
+		return
+	}
+	// A fault plan arrived mid-drain: the pipeline takes the remainder,
+	// behind everything already delivered.
+	d.startLocked()
 	d.mu.Unlock()
 	d.cond.Signal()
 }
 
 func (d *linkDir) close() {
 	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return
-	}
 	d.closed = true
-	started := d.started
 	d.mu.Unlock()
 	d.cond.Broadcast()
-	if !started {
-		return
-	}
 }
 
 // serialize is the wire-occupancy stage: one frame at a time, in submit

@@ -260,6 +260,211 @@ func TestNICRxOverflowDrops(t *testing.T) {
 	}
 }
 
+// --- the instant wire ---
+
+// popAllTX drains n's TX completions, failing on any error unless
+// allowDown, and returns how many it collected.
+func popAllTX(t *testing.T, n *NIC, allowDown bool) int {
+	t.Helper()
+	got := 0
+	for {
+		_, err, ok := n.PopTX()
+		if !ok {
+			return got
+		}
+		if err != nil && !(allowDown && err == ErrNICDown) {
+			t.Fatalf("TX completion error: %v", err)
+		}
+		got++
+	}
+}
+
+func TestInstantWireDeliversInSubmitter(t *testing.T) {
+	a, b := NewLink("a", "b", nil, nil, LinkConfig{})
+	defer a.Close()
+	defer b.Close()
+	for i := 0; i < 3; i++ {
+		if err := a.SubmitTX(uint64(i), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		// No goroutine hop: completion and delivery happened inside the
+		// call.
+		if f, ok := b.PopRX(); !ok || f[0] != byte(i) {
+			t.Fatalf("frame %d not in the peer's RX ring when SubmitTX returned", i)
+		}
+		if tag, err, ok := a.PopTX(); !ok || err != nil || tag != uint64(i) {
+			t.Fatalf("completion %d = (%d, %v, %v) when SubmitTX returned", i, tag, err, ok)
+		}
+	}
+	a.dir.mu.Lock()
+	started := a.dir.started
+	a.dir.mu.Unlock()
+	if started {
+		t.Fatal("instant wire started the device pipeline")
+	}
+}
+
+func TestInstantWireConcurrentSendersKeepOrder(t *testing.T) {
+	a, b := NewLink("a", "b", nil, nil, LinkConfig{})
+	defer a.Close()
+	defer b.Close()
+	const senders, per = 8, 200
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				for {
+					err := a.SubmitTX(uint64(s*per+i), []byte{byte(s), byte(i), byte(i >> 8)})
+					if err == nil {
+						break
+					}
+					if err != ErrNICTxRingFull {
+						t.Errorf("sender %d: %v", s, err)
+						return
+					}
+					time.Sleep(10 * time.Microsecond)
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	got := drainNIC(t, b, senders*per, time.Second)
+	next := make([]int, senders)
+	for _, f := range got {
+		s, i := int(f[0]), int(f[1])|int(f[2])<<8
+		if i != next[s] {
+			t.Fatalf("sender %d: frame %d arrived, want %d (lost, duplicated or reordered)", s, i, next[s])
+		}
+		next[s]++
+	}
+	if _, ok := b.PopRX(); ok {
+		t.Fatal("more frames delivered than submitted")
+	}
+	if n := popAllTX(t, a, false); n != senders*per {
+		t.Fatalf("%d TX completions, want %d", n, senders*per)
+	}
+}
+
+func TestInstantWireNotifySubmitDoesNotDeadlock(t *testing.T) {
+	// A handler that transmits on the NIC whose completion it is handling
+	// runs on the drainer's goroutine: its submit must only enqueue.
+	a, b := NewLink("a", "b", nil, nil, LinkConfig{})
+	defer a.Close()
+	defer b.Close()
+	var once sync.Once
+	a.SetNotify(func() {
+		once.Do(func() {
+			if err := a.SubmitTX(2, []byte("reply")); err != nil {
+				t.Errorf("submit from notify: %v", err)
+			}
+		})
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := a.SubmitTX(1, []byte("first")); err != nil {
+			t.Errorf("SubmitTX: %v", err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("SubmitTX deadlocked on a notify handler that transmits")
+	}
+	got := drainNIC(t, b, 2, time.Second)
+	if string(got[0]) != "first" || string(got[1]) != "reply" {
+		t.Fatalf("delivered %q, %q; want first, reply", got[0], got[1])
+	}
+}
+
+func TestInstantWireSetFaultsMidStreamKeepsFIFO(t *testing.T) {
+	// At the tenth delivery the peer's handler installs a plan and queues
+	// three frames behind the running drain: they and everything after
+	// them ride the pipeline, behind the frames already delivered.
+	a, b := NewLink("a", "b", nil, nil, LinkConfig{})
+	defer a.Close()
+	defer b.Close()
+	const n, switchAt, extra = 40, 10, 3
+	deliveries := 0
+	b.SetNotify(func() {
+		deliveries++
+		if deliveries != switchAt {
+			return
+		}
+		a.SetFaults(NetFaultPlan{Seed: 1}) // injects nothing
+		for i := 0; i < extra; i++ {
+			if err := a.SubmitTX(0, []byte(fmt.Sprintf("handler-%d", i))); err != nil {
+				t.Errorf("submit from notify: %v", err)
+			}
+		}
+	})
+	var want []string
+	for i := 0; i < n; i++ {
+		f := fmt.Sprintf("main-%02d", i)
+		want = append(want, f)
+		if i == switchAt-1 {
+			for j := 0; j < extra; j++ {
+				want = append(want, fmt.Sprintf("handler-%d", j))
+			}
+		}
+		if err := a.SubmitTX(uint64(i), []byte(f)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := drainNIC(t, b, len(want), 5*time.Second)
+	for i := range want {
+		if string(got[i]) != want[i] {
+			t.Fatalf("frame %d = %q, want %q (FIFO broken across the switch)", i, got[i], want[i])
+		}
+	}
+	if fs := a.FaultStats(); fs.Frames != extra+n-switchAt {
+		t.Fatalf("pipeline judged %d frames, want %d", fs.Frames, extra+n-switchAt)
+	}
+}
+
+func TestInstantWireCloseDuringDrain(t *testing.T) {
+	// The peer's handler queues frames behind the running drain and then
+	// closes the sender: later submits fail with ErrNICDown, and every
+	// accepted descriptor still completes (delivered or ErrNICDown).
+	a, b := NewLink("a", "b", nil, nil, LinkConfig{})
+	defer b.Close()
+	accepted := 0
+	var once sync.Once
+	b.SetNotify(func() {
+		once.Do(func() {
+			for i := 0; i < 5; i++ {
+				if err := a.SubmitTX(uint64(10+i), []byte{byte(i)}); err != nil {
+					t.Errorf("submit behind the drain: %v", err)
+				} else {
+					accepted++
+				}
+			}
+			a.Close()
+			if err := a.SubmitTX(99, []byte{9}); err != ErrNICDown {
+				t.Errorf("submit after Close: %v, want ErrNICDown", err)
+			}
+		})
+	})
+	if err := a.SubmitTX(1, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	accepted++
+	if err := a.SubmitTX(2, []byte{2}); err != ErrNICDown {
+		t.Fatalf("submit after the drain closed the NIC: %v, want ErrNICDown", err)
+	}
+	if n := popAllTX(t, a, true); n != accepted {
+		t.Fatalf("%d TX completions, want %d", n, accepted)
+	}
+	a.mu.Lock()
+	inflight := a.inflight
+	a.mu.Unlock()
+	if inflight != 0 {
+		t.Fatalf("%d descriptors still in flight after Close", inflight)
+	}
+}
+
 // --- NetFaultPlan ---
 
 func TestNetFaultDropAndDup(t *testing.T) {

@@ -99,7 +99,10 @@ type netFaultState struct {
 
 // SetFaults installs plan on the NIC's OUTBOUND direction (frames this
 // NIC transmits). Wrap both NICs of a link to fault both directions.
-// Install before traffic flows; the plan cannot be swapped mid-stream.
+// Frames submitted after it returns run the device pipeline and meet the
+// plan; on an instant wire that was delivering inline the pipeline takes
+// over behind the frames already queued, in FIFO order. Install once: the
+// plan cannot be swapped mid-stream.
 func (n *NIC) SetFaults(plan NetFaultPlan) {
 	plan = plan.withDefaults()
 	d := n.dir

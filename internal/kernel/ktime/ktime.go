@@ -10,6 +10,7 @@ package ktime
 import (
 	"container/heap"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -70,6 +71,7 @@ type Set struct {
 	stop   chan struct{}
 	fired  int64
 	closed bool
+	kicks  atomic.Int64 // driver wake-ups requested by arm (tests)
 }
 
 // NewSet starts the driver.
@@ -98,18 +100,24 @@ func (s *Set) Every(period time.Duration, fn func()) *Timer {
 	return s.arm(period, period, fn)
 }
 
+// arm queues a timer and wakes the driver only when the timer became the
+// earliest deadline: a later one changes nothing the driver sleeps on.
 func (s *Set) arm(d, period time.Duration, fn func()) *Timer {
 	t := &Timer{deadline: time.Now().Add(d), period: period, fn: fn, set: s, idx: -1}
 	s.mu.Lock()
 	if !s.closed {
 		heap.Push(&s.q, t)
 	}
+	head := t.idx == 0
 	s.mu.Unlock()
-	s.kick()
+	if head {
+		s.kick()
+	}
 	return t
 }
 
 func (s *Set) kick() {
+	s.kicks.Add(1)
 	select {
 	case s.wake <- struct{}{}:
 	default:
@@ -117,13 +125,14 @@ func (s *Set) kick() {
 }
 
 // drive is the compare-register loop: sleep until the earliest deadline,
-// fire everything due, repeat.
+// fire everything due, repeat. One host timer serves every sleep.
 func (s *Set) drive() {
+	hw := time.NewTimer(time.Hour)
+	defer hw.Stop()
+	var due []*Timer
 	for {
 		s.mu.Lock()
-		var wait time.Duration = time.Hour
 		now := time.Now()
-		var due []*Timer
 		for len(s.q) > 0 && !s.q[0].deadline.After(now) {
 			t := heap.Pop(&s.q).(*Timer)
 			due = append(due, t)
@@ -132,24 +141,28 @@ func (s *Set) drive() {
 				heap.Push(&s.q, t)
 			}
 		}
+		var next time.Time
 		if len(s.q) > 0 {
-			wait = time.Until(s.q[0].deadline)
-			if wait < 0 {
-				wait = 0
-			}
+			next = s.q[0].deadline
 		}
 		s.fired += int64(len(due))
 		s.mu.Unlock()
-		for _, t := range due {
+		for i, t := range due {
 			t.fn()
+			due[i] = nil
 		}
-		hw := time.NewTimer(wait)
+		due = due[:0]
+		// Sleep to the head's absolute deadline, however long the
+		// callbacks took; a new earliest deadline kicks the wake channel.
+		wait := time.Hour
+		if !next.IsZero() {
+			wait = max(time.Until(next), 0)
+		}
+		hw.Reset(wait)
 		select {
 		case <-s.stop:
-			hw.Stop()
 			return
 		case <-s.wake:
-			hw.Stop()
 		case <-hw.C:
 		}
 	}

@@ -151,3 +151,72 @@ func TestFiredCounter(t *testing.T) {
 		t.Fatalf("fired = %d", s.Fired())
 	}
 }
+
+func TestLaterDeadlineDoesNotWakeDriver(t *testing.T) {
+	s := newSet(t)
+	s.After(time.Hour, func() {})
+	before := s.Kicks()
+	for i := 2; i < 10; i++ {
+		s.After(time.Duration(i)*time.Hour, func() {})
+	}
+	if got := s.Kicks() - before; got != 0 {
+		t.Fatalf("arming 8 later deadlines woke the driver %d times", got)
+	}
+	if s.Pending() != 9 {
+		t.Fatalf("pending = %d, want 9", s.Pending())
+	}
+}
+
+func TestEarlierDeadlineWakesDriverAndFiresOnTime(t *testing.T) {
+	s := newSet(t)
+	s.After(time.Hour, func() {})
+	before := s.Kicks()
+	done := make(chan time.Time, 1)
+	start := time.Now()
+	s.After(10*time.Millisecond, func() { done <- time.Now() })
+	if got := s.Kicks() - before; got != 1 {
+		t.Fatalf("arming a new earliest deadline woke the driver %d times, want 1", got)
+	}
+	select {
+	case at := <-done:
+		if d := at.Sub(start); d < 10*time.Millisecond || d > 500*time.Millisecond {
+			t.Fatalf("fired after %v, want ~10ms", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("earliest timer never fired")
+	}
+}
+
+func TestStopAndEveryAcrossQuietArms(t *testing.T) {
+	// Timers armed behind the head without a wake still fire in order,
+	// a stopped head does not strand them, and a periodic timer keeps its
+	// cadence through the one reused host timer.
+	s := newSet(t)
+	head := s.After(5*time.Millisecond, func() { t.Error("stopped timer fired") })
+	fired := make(chan int, 2)
+	s.After(20*time.Millisecond, func() { fired <- 1 })
+	s.After(30*time.Millisecond, func() { fired <- 2 })
+	if !head.Stop() {
+		t.Fatal("stop of the pending head returned false")
+	}
+	var ticks atomic.Int32
+	tick := s.Every(2*time.Millisecond, func() { ticks.Add(1) })
+	defer tick.Stop()
+	for want := 1; want <= 2; want++ {
+		select {
+		case got := <-fired:
+			if got != want {
+				t.Fatalf("timer %d fired before timer %d", got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timer %d never fired", want)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for ticks.Load() < 3 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := ticks.Load(); n < 3 {
+		t.Fatalf("periodic timer ticked %d times, want 3", n)
+	}
+}

@@ -76,8 +76,16 @@ type conn struct {
 	ofdClosed bool  // the owning OFD released us; reap when the wire winds down
 	reaped    bool  // removed from the table, rings returned
 
-	retrans   uint64
+	retrans uint64
+
+	// Retransmit timer, restarted lazily (RFC 6298 5.1-5.3): an ACK that
+	// makes progress marks the running timer stale instead of cancelling
+	// and re-arming it, and a stale expiry re-arms a full RTO rather than
+	// replay. rtoGen names the live arm, so a callback whose cancel lost
+	// the race with its firing finds a newer generation and does nothing.
 	rtoCancel func() bool
+	rtoGen    uint64
+	rtoStale  bool
 
 	rwq sched.WaitQueue // blocked readers
 	wwq sched.WaitQueue // blocked writers
@@ -165,10 +173,15 @@ func (c *conn) armRTOLocked() {
 	if c.stack.after == nil || c.rtoCancel != nil || c.reaped || c.resetErr != nil {
 		return
 	}
-	c.rtoCancel = c.stack.after(c.stack.rto, c.onRTO)
+	c.rtoGen++
+	gen := c.rtoGen
+	c.rtoStale = false
+	c.rtoCancel = c.stack.after(c.stack.rto, func() { c.onRTO(gen) })
 }
 
-// cancelRTOLocked stops a pending timer.
+// cancelRTOLocked stops a pending timer. Its callback may already be on
+// its way (the seam popped it before the cancel); onRTO finds no live
+// timer of its generation and returns.
 func (c *conn) cancelRTOLocked() {
 	if c.rtoCancel != nil {
 		c.rtoCancel()
@@ -196,11 +209,23 @@ func (c *conn) windowClosedLocked() bool {
 // nothing in flight and the peer's window closed, it is the persist
 // timer instead: the replay is a one-byte probe past the window edge,
 // which the peer either accepts (its window update was lost) or drops
-// and answers with its current window.
-func (c *conn) onRTO() {
+// and answers with its current window. A timer that progress made stale
+// re-arms a full RTO instead, so a replay fires between one and two RTOs
+// after the last ACK that moved anything.
+func (c *conn) onRTO(gen uint64) {
 	c.mu.Lock()
+	if gen != c.rtoGen || c.rtoCancel == nil {
+		// Cancelled or superseded: the live timer, if any, is not ours.
+		c.mu.Unlock()
+		return
+	}
 	c.rtoCancel = nil
 	if c.reaped || c.resetErr != nil || !c.outstandingLocked() {
+		c.mu.Unlock()
+		return
+	}
+	if c.rtoStale {
+		c.armRTOLocked()
 		c.mu.Unlock()
 		return
 	}
@@ -409,9 +434,13 @@ func (c *conn) handleSeg(g seg) (emits []seg, pumpNeeded, reap bool) {
 		if edge := c.sndLimit - 1; c.sndNxt > edge && edge >= c.sndUna {
 			c.sndNxt = edge
 		}
-		// Re-shape the retransmit clock around what is still in flight.
-		c.cancelRTOLocked()
-		if c.outstandingLocked() {
+		// Restart the retransmit clock lazily: progress (new data
+		// acknowledged or a wider window, both of which set pumpNeeded)
+		// marks a running timer stale; with none running, arm one if
+		// anything is outstanding. No clock is read here.
+		if c.rtoCancel != nil {
+			c.rtoStale = c.rtoStale || pumpNeeded
+		} else if c.outstandingLocked() {
 			c.armRTOLocked()
 		}
 	}

@@ -7,7 +7,8 @@
 //     table, and (optionally) one hw.NIC. Frames the NIC delivers are
 //     drained by a NAPI-style softirq goroutine — the IRQNIC handler only
 //     kicks it, so protocol work never runs in interrupt context and
-//     never blocks the device's goroutine.
+//     never blocks the device — on the instant wire, the submitter that
+//     is delivering the frame.
 //   - A conn is one bidirectional byte stream: bounded send and receive
 //     rings drawn from the shared bufpool size classes (the same pool
 //     family pipes use), sequence/ack accounting, a peer-advertised flow
@@ -16,7 +17,11 @@
 //     reliable link no timer is needed and the seam may be nil; under an
 //     hw.NetFaultPlan (drop, duplication, reorder, latency spikes) the
 //     retransmit timer replays from the last acknowledged byte until the
-//     stream converges.
+//     stream converges. The timer restarts lazily (RFC 6298 §5.1–5.3):
+//     an ACK that makes progress marks it stale rather than re-arming
+//     it, and a stale expiry re-arms instead of replaying, so a replay
+//     fires one to two RTOs after the last progress and the stack never
+//     reads a clock of its own.
 //   - A Socket is the fs.FileOps face: Caps() == 0 (a stream file, like a
 //     pipe end), so the generic OpenFile/syscall layer drives it through
 //     Read/Write/Close with zero socket-specific branches. The six

@@ -458,22 +458,16 @@ func TestSendSleepsUntilTxRoom(t *testing.T) {
 	}
 }
 
-func TestFaultPlanConverges(t *testing.T) {
-	// A hostile link: drops, dups, reorders, latency spikes — and the
-	// go-back-N machinery behind the After seam must still deliver every
-	// byte in order, both directions.
+// exchangeUnderFaults pushes 256 KiB through each direction of a link
+// whose A→B wire runs planA and whose B→A wire runs planB, and requires
+// every byte to arrive in order. The go-back-N machinery behind the After
+// seam is what makes that hold.
+func exchangeUnderFaults(t *testing.T, planA, planB hw.NetFaultPlan) (*Stack, *Stack) {
+	t.Helper()
 	opts := Options{After: ktime.HostAfter, RTO: 5 * time.Millisecond}
 	a, b := twoStacks(t, hw.LinkConfig{}, opts)
-	plan := hw.NetFaultPlan{
-		Seed:          42,
-		PDrop:         0.05,
-		PDup:          0.05,
-		PReorder:      0.05,
-		ReorderWindow: 3,
-		PLatency:      0.02,
-	}
-	a.nic.SetFaults(plan)
-	b.nic.SetFaults(hw.NetFaultPlan{Seed: 43, PDrop: 0.05, PDup: 0.03, PReorder: 0.04})
+	a.nic.SetFaults(planA)
+	b.nic.SetFaults(planB)
 
 	cs, ss := dial(t, a, b, 80)
 	defer cs.Close(nil)
@@ -501,8 +495,21 @@ func TestFaultPlanConverges(t *testing.T) {
 	wg.Wait()
 
 	if !bytes.Equal(gotUp, up) || !bytes.Equal(gotDown, down) {
-		t.Fatal("stream corrupted under faults")
+		t.Fatalf("stream corrupted under %v / %v", planA, planB)
 	}
+	return a, b
+}
+
+func TestFaultPlanConverges(t *testing.T) {
+	// A hostile link: drops, dups, reorders, latency spikes, both ways.
+	a, b := exchangeUnderFaults(t, hw.NetFaultPlan{
+		Seed:          42,
+		PDrop:         0.05,
+		PDup:          0.05,
+		PReorder:      0.05,
+		ReorderWindow: 3,
+		PLatency:      0.02,
+	}, hw.NetFaultPlan{Seed: 43, PDrop: 0.05, PDup: 0.03, PReorder: 0.04})
 	// The plan really did bite, and recovery really did run.
 	fsA := a.nic.FaultStats()
 	if fsA.Drops == 0 {
@@ -510,6 +517,23 @@ func TestFaultPlanConverges(t *testing.T) {
 	}
 	if a.Stats().Retrans == 0 && b.Stats().Retrans == 0 {
 		t.Fatal("no retransmissions under a lossy plan")
+	}
+}
+
+// TestRandomNetPlansConverge runs the same exchange under the seeded
+// plans hw.RandomNetPlan derives, so the lazily restarted retransmit
+// timer meets every mix of drops, duplicates, reorders and latency
+// spikes a seed can name. A failing seed replays with RandomNetPlan(n).
+func TestRandomNetPlansConverge(t *testing.T) {
+	var retrans uint64
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			a, b := exchangeUnderFaults(t, hw.RandomNetPlan(seed), hw.RandomNetPlan(100+seed))
+			retrans += a.Stats().Retrans + b.Stats().Retrans
+		})
+	}
+	if retrans == 0 {
+		t.Fatal("no seed made the stacks retransmit")
 	}
 }
 

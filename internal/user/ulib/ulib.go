@@ -250,11 +250,13 @@ func RingBatch(p *kernel.Proc, r *uring.Ring, sqes []uring.SQE) ([]uring.CQE, er
 				return out, err
 			}
 			// Staging queue full: hand the partial batch off and reap what
-			// has already completed to free CQ slots for admission.
-			if _, err := p.SysRingEnter(staged, 1); err != nil {
+			// has already completed to free CQ slots for admission. Entries
+			// admission held back stay staged for the next entry.
+			n, err := p.SysRingEnter(staged, 1)
+			if err != nil {
 				return out, err
 			}
-			staged = 0
+			staged -= n
 			reap()
 		}
 	}
@@ -263,10 +265,11 @@ func RingBatch(p *kernel.Proc, r *uring.Ring, sqes []uring.SQE) ([]uring.CQE, er
 	// toward out).
 	for len(out) < len(sqes) {
 		want := len(sqes) - len(out)
-		if _, err := p.SysRingEnter(staged, want); err != nil {
+		n, err := p.SysRingEnter(staged, want)
+		if err != nil {
 			return out, err
 		}
-		staged = 0
+		staged -= n
 		reap()
 	}
 	return out, nil

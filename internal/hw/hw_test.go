@@ -583,7 +583,9 @@ func TestSDWaitAccountingSplitsPollAndDMA(t *testing.T) {
 		t.Fatal("sync DMA charged no idle wait")
 	}
 
-	done := make(chan struct{})
+	// Buffered: the completion may fire before the test reaches <-done,
+	// and the handler's non-blocking send must not drop it.
+	done := make(chan struct{}, 1)
 	ic.Register(IRQSD, 0, func(IRQLine, int) {
 		select {
 		case done <- struct{}{}:

@@ -20,7 +20,7 @@ const (
 	IRQDMA                     // DMA transfer completion (audio)
 	IRQGPIO                    // GPIO edge (Game HAT buttons)
 	IRQSD                      // SD controller DMA completion (prod baseline)
-	IRQNIC                     // NIC ring activity: RX frame delivered or TX descriptor completed
+	IRQNIC                     // NIC ring activity: RX frame delivered or TX descriptor completed (unless masked)
 	FIQPanic                   // panic button: fast interrupt, never masked
 
 	irqGenericTimerBase // per-core timer lines follow; do not use directly

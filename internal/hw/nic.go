@@ -40,7 +40,7 @@ type NICStats struct {
 	RxFrames uint64
 	RxBytes  uint64
 	RxDrops  uint64 // RX ring overflow: frame discarded
-	TxIRQs   uint64 // completion interrupts raised
+	TxIRQs   uint64 // completion interrupts raised (masked completions raise none)
 	RxIRQs   uint64 // delivery interrupts raised
 }
 
@@ -56,11 +56,23 @@ type nicCompletion struct {
 //   - SubmitTX programs a TX descriptor and returns immediately. The
 //     frame's bytes are latched at submit (the descriptor owns a copy of
 //     the slice reference; callers hand ownership over and never reuse the
-//     buffer). When the simulated wire accepts the frame, a completion
-//     record (tag, error) is queued and IRQNIC fires.
+//     buffer). When the simulated wire accepts the frame, the descriptor
+//     is freed, a completion record (tag, error) is queued and IRQNIC
+//     fires.
 //   - Received frames land in the RX ring; each delivery raises IRQNIC.
 //     The IRQ handler drains both rings with PopTX/PopRX until empty —
 //     one interrupt may cover several descriptors, as on real hardware.
+//
+// TX completions are interrupts on demand once the driver masks them
+// (MaskTxIRQ, which net.NewStack programs at attach): a successful
+// completion then only frees its descriptor, the way virtio-net's
+// VRING_AVAIL_F_NO_INTERRUPT or e1000's per-descriptor RS bit leave
+// completions to be reaped silently. A driver that needs one to wait
+// for ring room gets it: a SubmitTX refused with ErrNICTxRingFull, or a
+// TxRoom that answers false, arms the next completion, which is queued
+// and raised. Error completions always are. Both rings pop by head
+// index and reuse their backing arrays, so a driver that keeps up
+// allocates nothing per frame.
 //
 // Two NICs cross-wired by NewLink form a full-duplex link with
 // configurable per-direction latency and bandwidth; each direction is a
@@ -78,8 +90,10 @@ type NIC struct {
 	mu       sync.Mutex
 	notify   func() // completion signal when no IRQ controller is wired
 	inflight int    // submitted TX descriptors not yet completed
-	rxq      [][]byte
-	txComp   []nicCompletion
+	rxq      fifo[[]byte]
+	txComp   fifo[nicCompletion]
+	txMasked bool // driver register: successful completions raise nothing
+	txArmed  bool // the next completion is queued and raised even if masked
 	closed   bool
 	stats    NICStats
 }
@@ -93,6 +107,16 @@ func (n *NIC) Name() string { return n.name }
 func (n *NIC) SetNotify(fn func()) {
 	n.mu.Lock()
 	n.notify = fn
+	n.mu.Unlock()
+}
+
+// MaskTxIRQ programs the TX-completion interrupt mask: from now on a
+// successful completion frees its descriptor but queues no record and
+// raises no interrupt, unless a refused SubmitTX or a false TxRoom armed
+// it. The driver sets it once at attach (net.NewStack); it stays set.
+func (n *NIC) MaskTxIRQ() {
+	n.mu.Lock()
+	n.txMasked = true
 	n.mu.Unlock()
 }
 
@@ -110,8 +134,11 @@ func (n *NIC) raise(fn func()) {
 
 // SubmitTX programs one TX descriptor and returns immediately; the frame
 // travels the link and the completion (tag) is collected via PopTX after
-// IRQNIC. The NIC takes ownership of the slice — callers must not touch
-// it again (the wire delivers the very bytes to the peer's RX ring).
+// IRQNIC (under MaskTxIRQ, only for an armed or failed completion). The
+// NIC takes ownership of the slice — callers must not touch it again (the
+// wire delivers the very bytes to the peer's RX ring). A refusal with
+// ErrNICTxRingFull arms the next completion before it returns, so a
+// submitter that then waits for room is woken.
 func (n *NIC) SubmitTX(tag uint64, frame []byte) error {
 	if len(frame) > NICMTU {
 		return ErrNICFrameTooBig
@@ -122,6 +149,7 @@ func (n *NIC) SubmitTX(tag uint64, frame []byte) error {
 		return ErrNICDown
 	}
 	if n.inflight >= NICTxRing {
+		n.txArmed = true
 		n.mu.Unlock()
 		return ErrNICTxRingFull
 	}
@@ -133,12 +161,19 @@ func (n *NIC) SubmitTX(tag uint64, frame []byte) error {
 	return nil
 }
 
-// completeTX queues the descriptor's completion and raises the IRQ — the
-// wire calls it once the frame has serialized onto the link.
+// completeTX frees the descriptor, then queues its completion and raises
+// the IRQ unless the completion is masked: successful, with TX interrupts
+// masked and none armed. The wire calls it once the frame has serialized
+// onto the link.
 func (n *NIC) completeTX(tag uint64, err error) {
 	n.mu.Lock()
 	n.inflight--
-	n.txComp = append(n.txComp, nicCompletion{tag: tag, err: err})
+	if n.txMasked && !n.txArmed && err == nil {
+		n.mu.Unlock()
+		return
+	}
+	n.txArmed = false
+	n.txComp.push(nicCompletion{tag: tag, err: err})
 	n.stats.TxIRQs++
 	fn := n.notify
 	n.mu.Unlock()
@@ -149,12 +184,12 @@ func (n *NIC) completeTX(tag uint64, err error) {
 // the frame; recovery is the protocol layer's problem, as in real life.
 func (n *NIC) deliverRX(frame []byte) {
 	n.mu.Lock()
-	if n.closed || len(n.rxq) >= NICRxRing {
+	if n.closed || n.rxq.len() >= NICRxRing {
 		n.stats.RxDrops++
 		n.mu.Unlock()
 		return
 	}
-	n.rxq = append(n.rxq, frame)
+	n.rxq.push(frame)
 	n.stats.RxFrames++
 	n.stats.RxBytes += uint64(len(frame))
 	n.stats.RxIRQs++
@@ -167,42 +202,40 @@ func (n *NIC) deliverRX(frame []byte) {
 // IRQNIC handler drains this until ok is false.
 func (n *NIC) PopTX() (tag uint64, err error, ok bool) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	if len(n.txComp) == 0 {
-		return 0, nil, false
-	}
-	c := n.txComp[0]
-	n.txComp = n.txComp[1:]
-	return c.tag, c.err, true
+	c, ok := n.txComp.pop()
+	n.mu.Unlock()
+	return c.tag, c.err, ok
 }
 
 // PopRX collects one received frame, FIFO. The IRQNIC handler drains this
 // until ok is false.
 func (n *NIC) PopRX() (frame []byte, ok bool) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	if len(n.rxq) == 0 {
-		return nil, false
-	}
-	f := n.rxq[0]
-	n.rxq = n.rxq[1:]
-	return f, true
+	f, ok := n.rxq.pop()
+	n.mu.Unlock()
+	return f, ok
 }
 
 // TxRoom reports whether a TX descriptor is free, so SubmitTX would not
 // refuse with ErrNICTxRingFull. A task that found the ring full sleeps
-// until this holds.
+// until this holds. A false answer arms the next completion, as a refused
+// submit does: a sleeper that registers and then checks is woken even if
+// another submitter took the room that the refusal's completion freed.
 func (n *NIC) TxRoom() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.inflight < NICTxRing
+	room := n.inflight < NICTxRing
+	if !room {
+		n.txArmed = true
+	}
+	return room
 }
 
 // RxQueued reports frames waiting in the RX ring (diagnostics).
 func (n *NIC) RxQueued() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.rxq)
+	return n.rxq.len()
 }
 
 // Stats snapshots the ring counters.
@@ -222,9 +255,45 @@ func (n *NIC) Close() {
 		return
 	}
 	n.closed = true
-	n.rxq = nil
+	n.rxq = fifo[[]byte]{}
 	n.mu.Unlock()
 	n.dir.close()
+}
+
+// fifo is a queue that pops by head index and reuses its backing array:
+// it rewinds to the front whenever it empties, and a push that finds the
+// array full compacts it instead of growing it once at least half is
+// consumed. A queue drained as fast as it fills stops allocating after
+// warm-up, and a compaction copies no more elements than the pops that
+// made room for it.
+type fifo[T any] struct {
+	buf  []T // buf[head:] is queued
+	head int
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+func (q *fifo[T]) push(v T) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && q.head >= len(q.buf)/2 {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+func (q *fifo[T]) pop() (v T, ok bool) {
+	if q.head == len(q.buf) {
+		return v, false
+	}
+	v = q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return v, true
 }
 
 // LinkConfig shapes a full-duplex link. The zero value is an instant,

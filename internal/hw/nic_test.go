@@ -465,6 +465,355 @@ func TestInstantWireCloseDuringDrain(t *testing.T) {
 	}
 }
 
+// --- ring reuse and the TX-completion interrupt mask ---
+
+func TestNICRingsDoNotAllocateWhenWarm(t *testing.T) {
+	a, b := NewLink("a", "b", nil, nil, LinkConfig{})
+	defer a.Close()
+	defer b.Close()
+	frame := []byte("frame")
+	rx := func() {
+		b.deliverRX(frame)
+		b.deliverRX(frame)
+		if f, ok := b.PopRX(); !ok || len(f) != len(frame) {
+			t.Fatal("PopRX lost a frame")
+		}
+		if _, ok := b.PopRX(); !ok {
+			t.Fatal("PopRX lost a frame")
+		}
+	}
+	tx := func() {
+		a.mu.Lock()
+		a.inflight++
+		a.mu.Unlock()
+		a.completeTX(1, nil)
+		if _, _, ok := a.PopTX(); !ok {
+			t.Fatal("PopTX lost a completion")
+		}
+	}
+	rx()
+	tx()
+	if n := testing.AllocsPerRun(1000, rx); n != 0 {
+		t.Fatalf("deliverRX+PopRX: %v allocations per run, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, tx); n != 0 {
+		t.Fatalf("completeTX+PopTX: %v allocations per run, want 0", n)
+	}
+}
+
+func TestFIFOKeepsOrderAcrossCompaction(t *testing.T) {
+	var q fifo[int]
+	next, want := 0, 0
+	for round := 0; round < 200; round++ {
+		// Push more than is popped so the head is never at the front
+		// when the array fills: compaction and growth both happen.
+		for i := 0; i < 3+round%5; i++ {
+			q.push(next)
+			next++
+		}
+		for i := 0; i < 2+round%4; i++ {
+			v, ok := q.pop()
+			if !ok {
+				break
+			}
+			if v != want {
+				t.Fatalf("popped %d, want %d", v, want)
+			}
+			want++
+		}
+		if q.len() != next-want {
+			t.Fatalf("len = %d, want %d", q.len(), next-want)
+		}
+	}
+	for {
+		v, ok := q.pop()
+		if !ok {
+			break
+		}
+		if v != want {
+			t.Fatalf("popped %d, want %d", v, want)
+		}
+		want++
+	}
+	if want != next {
+		t.Fatalf("drained %d of %d", want, next)
+	}
+}
+
+// irqCounter wires a NIC's IRQ controller to a counting handler.
+func irqCounter(t *testing.T, cfg LinkConfig) (a, b *NIC, raised func() int) {
+	t.Helper()
+	ic := NewIRQController(1)
+	a, b = NewLink("eth0", "peer0", ic, nil, cfg)
+	t.Cleanup(func() {
+		a.Close()
+		b.Close()
+	})
+	var mu sync.Mutex
+	n := 0
+	ic.Register(IRQNIC, 0, func(IRQLine, int) {
+		mu.Lock()
+		n++
+		mu.Unlock()
+	})
+	return a, b, func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return n
+	}
+}
+
+// waitFor polls cond until it holds, failing after five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// wantIRQs checks that a raised exactly want TX-completion interrupts,
+// waiting for the controller to dispatch them.
+func wantIRQs(t *testing.T, a *NIC, raised func() int, want int) {
+	t.Helper()
+	if got := a.Stats().TxIRQs; got != uint64(want) {
+		t.Fatalf("TxIRQs = %d, want %d", got, want)
+	}
+	waitFor(t, fmt.Sprintf("%d IRQs dispatched", want), func() bool { return raised() >= want })
+	if got := raised(); got != want {
+		t.Fatalf("%d IRQs dispatched, want %d", got, want)
+	}
+}
+
+// inflight reads the NIC's uncompleted descriptor count.
+func inflight(n *NIC) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.inflight
+}
+
+// waitIdle waits until every descriptor n submitted has completed.
+func waitIdle(t *testing.T, n *NIC) {
+	t.Helper()
+	waitFor(t, "every descriptor to complete", func() bool { return inflight(n) == 0 })
+}
+
+func TestTxMaskSilencesSuccessfulCompletions(t *testing.T) {
+	for name, cfg := range map[string]LinkConfig{
+		"instant":  {},
+		"modelled": {LatencyAB: 200 * time.Microsecond, BandwidthAB: 10_000_000},
+	} {
+		t.Run(name, func(t *testing.T) {
+			a, b, raised := irqCounter(t, cfg)
+			a.MaskTxIRQ()
+			const n = 50
+			for i := 0; i < n; i++ {
+				if err := a.SubmitTX(uint64(i), []byte{byte(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			drainNIC(t, b, n, 5*time.Second)
+			waitIdle(t, a)
+			if _, _, ok := a.PopTX(); ok {
+				t.Fatal("a masked successful completion was queued")
+			}
+			if got := raised(); got != 0 {
+				t.Fatalf("%d IRQs raised for masked completions", got)
+			}
+			if s := a.Stats(); s.TxIRQs != 0 || s.TxFrames != n {
+				t.Fatalf("stats: TxIRQs=%d TxFrames=%d, want 0/%d", s.TxIRQs, s.TxFrames, n)
+			}
+			if !a.TxRoom() {
+				t.Fatal("masked completions did not free their descriptors")
+			}
+		})
+	}
+}
+
+// fillStalledRing holds a's wire with a 300-byte frame at 10 kB/s (30 ms)
+// and fills every other descriptor behind it.
+func fillStalledRing(t *testing.T, a *NIC) {
+	t.Helper()
+	if err := a.SubmitTX(0, make([]byte, 300)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < NICTxRing; i++ {
+		if err := a.SubmitTX(uint64(i), []byte{0}); err != nil {
+			t.Fatalf("filling descriptor %d: %v", i, err)
+		}
+	}
+}
+
+func TestTxMaskRefusedSubmitArmsOneIRQ(t *testing.T) {
+	t.Run("stalled", func(t *testing.T) {
+		a, _, raised := irqCounter(t, LinkConfig{BandwidthAB: 10_000})
+		a.MaskTxIRQ()
+		fillStalledRing(t, a)
+		for i := 0; i < 3; i++ { // refusals share one armed completion
+			if err := a.SubmitTX(999, []byte{1}); err != ErrNICTxRingFull {
+				t.Fatalf("submit on a full ring: %v, want ErrNICTxRingFull", err)
+			}
+		}
+		waitIdle(t, a)
+		if got := popAllTX(t, a, false); got != 1 {
+			t.Fatalf("%d completions queued after a refusal, want 1", got)
+		}
+		wantIRQs(t, a, raised, 1)
+	})
+	t.Run("instant", func(t *testing.T) {
+		// The peer's handler runs inside the drain and queues a full ring
+		// behind it; the refusal that follows arms one completion.
+		a, b, raised := irqCounter(t, LinkConfig{})
+		a.MaskTxIRQ()
+		var once sync.Once
+		b.SetNotify(func() {
+			once.Do(func() {
+				for i := 0; i < NICTxRing; i++ {
+					if err := a.SubmitTX(uint64(10+i), []byte{2}); err != nil {
+						t.Errorf("queueing behind the drain: %v", err)
+					}
+				}
+				if err := a.SubmitTX(999, []byte{3}); err != ErrNICTxRingFull {
+					t.Errorf("submit on a full ring: %v, want ErrNICTxRingFull", err)
+				}
+			})
+		})
+		if err := a.SubmitTX(1, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		waitIdle(t, a)
+		if got := popAllTX(t, a, false); got != 1 {
+			t.Fatalf("%d completions queued after a refusal, want 1", got)
+		}
+		wantIRQs(t, a, raised, 1)
+	})
+}
+
+func TestTxMaskTxRoomArmsOneIRQ(t *testing.T) {
+	// A sleeper's re-check that finds no room arms the next completion on
+	// its own: the refusal's armed completion may have gone to a slot
+	// another submitter took.
+	a, _, raised := irqCounter(t, LinkConfig{BandwidthAB: 10_000})
+	a.MaskTxIRQ()
+	fillStalledRing(t, a)
+	if a.TxRoom() {
+		t.Fatal("TxRoom true on a full ring")
+	}
+	waitIdle(t, a)
+	if got := popAllTX(t, a, false); got != 1 {
+		t.Fatalf("%d completions queued after TxRoom found no room, want 1", got)
+	}
+	wantIRQs(t, a, raised, 1)
+}
+
+func TestTxMaskWakesSleeperOnFullRing(t *testing.T) {
+	// A submitter that finds the ring full registers for the wake-up,
+	// re-checks TxRoom, and sleeps: the armed completion's IRQ wakes it.
+	ic := NewIRQController(1)
+	a, b := NewLink("eth0", "peer0", ic, nil, LinkConfig{BandwidthAB: 10_000})
+	defer a.Close()
+	defer b.Close()
+	a.MaskTxIRQ()
+	wake := make(chan struct{}, 1)
+	ic.Register(IRQNIC, 0, func(IRQLine, int) {
+		for {
+			if _, _, ok := a.PopTX(); !ok {
+				break
+			}
+		}
+		select {
+		case wake <- struct{}{}:
+		default:
+		}
+	})
+	fillStalledRing(t, a)
+	done := make(chan error, 1)
+	go func() {
+		for {
+			err := a.SubmitTX(999, []byte{9})
+			if err != ErrNICTxRingFull {
+				done <- err
+				return
+			}
+			if !a.TxRoom() {
+				<-wake
+			}
+		}
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("submit after the wake: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("sleeper on a full ring never woke")
+	}
+	drainNIC(t, b, NICTxRing+1, 5*time.Second)
+}
+
+func TestTxMaskErrorCompletionStillRaises(t *testing.T) {
+	t.Run("stalled", func(t *testing.T) {
+		// The frame on the wire completes cleanly (silent); the one
+		// queued behind it fails at Close and is queued and raised.
+		a, _, raised := irqCounter(t, LinkConfig{BandwidthAB: 100})
+		a.MaskTxIRQ()
+		if err := a.SubmitTX(1, []byte{1, 2, 3}); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "the first frame on the wire", func() bool {
+			a.dir.mu.Lock()
+			defer a.dir.mu.Unlock()
+			return len(a.dir.queue) == 0
+		})
+		if err := a.SubmitTX(2, []byte{4}); err != nil {
+			t.Fatal(err)
+		}
+		a.Close()
+		waitIdle(t, a)
+		tag, err, ok := a.PopTX()
+		if !ok || tag != 2 || err != ErrNICDown {
+			t.Fatalf("completion = (%d, %v, %v), want (2, ErrNICDown, true)", tag, err, ok)
+		}
+		if _, _, ok := a.PopTX(); ok {
+			t.Fatal("the successful completion was queued under the mask")
+		}
+		wantIRQs(t, a, raised, 1)
+	})
+	t.Run("instant", func(t *testing.T) {
+		// Frames queued behind the drain fail when the handler closes
+		// the NIC: each failure is queued and raised.
+		a, b, raised := irqCounter(t, LinkConfig{})
+		a.MaskTxIRQ()
+		var once sync.Once
+		b.SetNotify(func() {
+			once.Do(func() {
+				for i := 0; i < 5; i++ {
+					if err := a.SubmitTX(uint64(10+i), []byte{byte(i)}); err != nil {
+						t.Errorf("queueing behind the drain: %v", err)
+					}
+				}
+				a.Close()
+			})
+		})
+		if err := a.SubmitTX(1, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			tag, err, ok := a.PopTX()
+			if !ok || tag != uint64(10+i) || err != ErrNICDown {
+				t.Fatalf("completion %d = (%d, %v, %v), want (%d, ErrNICDown, true)", i, tag, err, ok, 10+i)
+			}
+		}
+		if _, _, ok := a.PopTX(); ok {
+			t.Fatal("the successful completion was queued under the mask")
+		}
+		wantIRQs(t, a, raised, 5)
+	})
+}
+
 // --- NetFaultPlan ---
 
 func TestNetFaultDropAndDup(t *testing.T) {

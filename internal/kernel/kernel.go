@@ -374,9 +374,12 @@ func (k *Kernel) Boot() error {
 
 	// Network: the TCP-ish stack over the board NIC. The IRQNIC handler
 	// only kicks the stack's softirq goroutine (NAPI-style) — protocol
-	// work never runs in interrupt context. The Routed check makes a
-	// forgotten registration fail at boot: a NIC whose completion rings
-	// nobody drains would instead hang every TX-blocked writer silently.
+	// work never runs in interrupt context. NewStack masks TX-completion
+	// interrupts, so IRQNIC fires for RX deliveries and only for the TX
+	// completions a full ring armed or that failed. The Routed check
+	// makes a forgotten registration fail at boot: a NIC whose completion
+	// rings nobody drains would instead hang every TX-blocked writer
+	// silently.
 	if k.cfg.EnableNet {
 		if k.m.NIC == nil {
 			return fmt.Errorf("kernel: network enabled but machine has no NIC (MachineConfig.EnableNIC)")

@@ -341,8 +341,8 @@ func (c *conn) pump(t *sched.Task) {
 // segment finished tearing it down.
 func (c *conn) deliver(g seg) {
 	emits, pumpNeeded, reap := c.handleSeg(g)
-	for _, e := range emits {
-		c.stack.emit(nil, e)
+	for i := range emits.n {
+		c.stack.emit(nil, emits.segs[i])
 	}
 	if pumpNeeded {
 		c.pump(nil)
@@ -352,13 +352,26 @@ func (c *conn) deliver(g seg) {
 	}
 }
 
+// ctlSegs holds the control segments one inbound segment calls for — at
+// most a SYN|ACK resend and an ACK — in place, so the per-segment path
+// allocates nothing.
+type ctlSegs struct {
+	segs [2]seg
+	n    int
+}
+
+func (e *ctlSegs) add(g seg) {
+	e.segs[e.n] = g
+	e.n++
+}
+
 // handleSeg applies one segment under the conn lock and returns control
 // segments to emit after unlock.
-func (c *conn) handleSeg(g seg) (emits []seg, pumpNeeded, reap bool) {
+func (c *conn) handleSeg(g seg) (emits ctlSegs, pumpNeeded, reap bool) {
 	c.mu.Lock()
 	if c.reaped {
 		c.mu.Unlock()
-		return nil, false, false
+		return emits, false, false
 	}
 	if g.flags&flagRST != 0 {
 		if c.resetErr == nil {
@@ -374,11 +387,11 @@ func (c *conn) handleSeg(g seg) (emits []seg, pumpNeeded, reap bool) {
 		c.rwq.WakeAll()
 		c.wwq.WakeAll()
 		c.cwq.WakeAll()
-		return nil, false, reap
+		return emits, false, reap
 	}
 	if c.resetErr != nil {
 		c.mu.Unlock()
-		return nil, false, false
+		return emits, false, false
 	}
 
 	needAck := false
@@ -398,7 +411,7 @@ func (c *conn) handleSeg(g seg) (emits []seg, pumpNeeded, reap bool) {
 			pumpNeeded = true
 		case c.server:
 			// Duplicate SYN: our SYN|ACK was lost — resend it.
-			emits = append(emits, c.synAckSegLocked())
+			emits.add(c.synAckSegLocked())
 		default:
 			// Duplicate SYN|ACK while established: re-acknowledge.
 			needAck = true
@@ -470,7 +483,7 @@ func (c *conn) handleSeg(g seg) (emits []seg, pumpNeeded, reap bool) {
 	}
 
 	if needAck {
-		emits = append(emits, c.ackSegLocked())
+		emits.add(c.ackSegLocked())
 	}
 	reap = c.reapableLocked()
 	c.mu.Unlock()

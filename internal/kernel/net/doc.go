@@ -8,7 +8,14 @@
 //     drained by a NAPI-style softirq goroutine — the IRQNIC handler only
 //     kicks it, so protocol work never runs in interrupt context and
 //     never blocks the device — on the instant wire, the submitter that
-//     is delivering the frame.
+//     is delivering the frame. The stack masks the NIC's TX-completion
+//     interrupts: completions are reaped only to wake a task waiting for
+//     ring room, and the refused submit (or a TxRoom check that finds
+//     no room) arms the one completion interrupt that wakes it.
+//   - The steady-state segment path allocates nothing: frames come from
+//     a shared pool and return to it after input, a segment's control
+//     replies come back in a fixed array, and the NIC rings and the
+//     loopback queue reuse their arrays.
 //   - A conn is one bidirectional byte stream: bounded send and receive
 //     rings drawn from the shared bufpool size classes (the same pool
 //     family pipes use), sequence/ack accounting, a peer-advertised flow

@@ -458,6 +458,40 @@ func TestSendSleepsUntilTxRoom(t *testing.T) {
 	}
 }
 
+// TestDeliverInOrderDataDoesNotAllocate: an in-order data segment — the
+// receive-ring copy, the ACK it calls for, marshalled into a pooled frame
+// and sent through the loopback queue — allocates nothing once the frame
+// pool and the queue are warm. The conn's peer, host 2, does not exist,
+// so each ACK ends as a misaddressed segment.
+func TestDeliverInOrderDataDoesNotAllocate(t *testing.T) {
+	s := NewStack("A", 1, nil, Options{})
+	t.Cleanup(s.Close)
+	c := newConn(s, Addr{Host: 1, Port: 5000}, Addr{Host: 2, Port: 80}, false)
+	payload := pattern(64, 1)
+	buf := make([]byte, len(payload))
+	wire := uint64(1)
+	step := func() {
+		c.deliver(seg{flags: flagACK, src: c.remote, dst: c.local, seq: wire, ack: 1, wnd: RingSize, payload: payload})
+		wire += uint64(len(payload))
+		if n, err := c.read(nil, buf); n != len(payload) || err != nil {
+			t.Fatalf("read %d bytes, %v", n, err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		step()
+	}
+	before := s.Stats().BadSegs
+	if n := testing.AllocsPerRun(200, step); n != 0 {
+		t.Fatalf("%v allocations per in-order segment, want 0", n)
+	}
+	if !bytes.Equal(buf, payload) {
+		t.Fatal("payload corrupted on the way through the ring")
+	}
+	if got := s.Stats().BadSegs - before; got != 201 {
+		t.Fatalf("%d ACKs left the conn for 201 segments", got)
+	}
+}
+
 // exchangeUnderFaults pushes 256 KiB through each direction of a link
 // whose A→B wire runs planA and whose B→A wire runs planB, and requires
 // every byte to arrive in order. The go-back-N machinery behind the After

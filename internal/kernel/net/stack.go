@@ -99,7 +99,9 @@ type Stack struct {
 
 	// loopq is the loopback path: segments a stack sends to itself. A
 	// single non-reentrant drainer keeps delivery FIFO and bounds stack
-	// depth (send → input → send → ... would otherwise recurse).
+	// depth (send → input → send → ... would otherwise recurse). It walks
+	// the queue by index and rewinds it once empty, so the backing array
+	// is reused.
 	loopMu  sync.Mutex
 	loopq   [][]byte
 	looping bool
@@ -114,7 +116,9 @@ type Stack struct {
 
 // NewStack builds a stack for host addr `host` over nic (nil for
 // loopback-only). The caller wires delivery: either register IRQNIC with
-// the IRQ controller routing to s.IRQ, or nic.SetNotify(s.IRQ).
+// the IRQ controller routing to s.IRQ, or nic.SetNotify(s.IRQ). The stack
+// masks the NIC's TX-completion interrupts: it reaps completions only to
+// wake tasks waiting for ring room, and send arms the one it needs.
 func NewStack(name string, host uint16, nic *hw.NIC, opts Options) *Stack {
 	rto := opts.RTO
 	if rto <= 0 {
@@ -136,6 +140,7 @@ func NewStack(name string, host uint16, nic *hw.NIC, opts Options) *Stack {
 		stop:      make(chan struct{}),
 	}
 	if nic != nil {
+		nic.MaskTxIRQ()
 		go s.softirq()
 	}
 	return s
@@ -194,9 +199,9 @@ func (s *Stack) Close() {
 }
 
 // softirq is the NAPI-style bottom half: woken by IRQ(), it drains TX
-// completions (freeing writers blocked on a full ring) and then runs
-// every received frame through the protocol. All protocol work happens
-// here or on syscall tasks — never on the device goroutines.
+// completions (armed ones, freeing writers blocked on a full ring) and
+// then runs every received frame through the protocol. All protocol work
+// happens here or on syscall tasks — never on the device goroutines.
 func (s *Stack) softirq() {
 	for {
 		select {
@@ -228,12 +233,14 @@ func (s *Stack) drainNIC() {
 
 // send transmits one marshalled frame: loopback when the destination is
 // this host (or the stack has no NIC), otherwise the NIC TX ring,
-// sleeping on txWait when the ring is full. A task registers on txWait
-// before re-checking for room, so the softirq's WakeAll after a TX
-// completion cannot slip in between and be lost. Tasks sleep; the softirq
-// and timer goroutines (t == nil) spin-yield, which the TX-completion
-// design keeps finite: the NIC frees ring slots at serialization time, not
-// at completion-drain time.
+// sleeping on txWait when the ring is full. TX-completion interrupts are
+// masked, but the refused submit and a TxRoom that answers false each arm
+// the next one, and a task registers on txWait before that re-check: the
+// softirq's WakeAll after the armed completion finds it on the queue, or
+// the re-check finds the room. Tasks sleep; the softirq and timer
+// goroutines (t == nil) spin-yield, which the TX-completion design keeps
+// finite: the NIC frees ring slots at serialization time, not at
+// completion-drain time.
 func (s *Stack) send(t *sched.Task, frame []byte, dstHost uint16) {
 	s.segsOut.Add(1)
 	if s.nic == nil || dstHost == s.host {
@@ -283,13 +290,14 @@ func (s *Stack) loopback(frame []byte) {
 		return
 	}
 	s.looping = true
-	for len(s.loopq) > 0 {
-		f := s.loopq[0]
-		s.loopq = s.loopq[1:]
+	for i := 0; i < len(s.loopq); i++ {
+		f := s.loopq[i]
+		s.loopq[i] = nil
 		s.loopMu.Unlock()
 		s.input(f)
 		s.loopMu.Lock()
 	}
+	s.loopq = s.loopq[:0]
 	s.looping = false
 	s.loopMu.Unlock()
 }

@@ -17,11 +17,14 @@
 //     accept loop with ErrListenerClosed);
 //   - disconnecting (FIN) leaves the room.
 //
-// Broadcast writes happen under the room lock — a ulib.Mutex over the
-// semaphore syscalls, so a blocked write sleeps its task on the
-// scheduler. A client that stops reading stalls its room once its
-// receive window and the sender's send ring fill; the workload's clients
-// always drain, which is the deal a broadcast fan-out server offers.
+// Relaying a frame allocates nothing: the handler's frame reader hands
+// out a view into its reassembly buffer, and the broadcast encodes it into
+// a scratch buffer the connection reuses. Broadcast writes happen under
+// the room lock — a ulib.Mutex over the semaphore syscalls, so a blocked
+// write sleeps its task on the scheduler. A client that stops reading
+// stalls its room once its receive window and the sender's send ring
+// fill; the workload's clients always drain, which is the deal a
+// broadcast fan-out server offers.
 package chanserv
 
 import (
@@ -113,6 +116,7 @@ func Main(p *kernel.Proc, argv []string) int {
 func (s *server) serveConn(p *kernel.Proc, fd int) {
 	defer p.SysClose(fd)
 	fr := ulib.NewFrameReader(p, fd)
+	var out []byte // this connection's encode scratch, reused per broadcast
 
 	joinF, err := fr.Next()
 	if err != nil {
@@ -141,7 +145,7 @@ func (s *server) serveConn(p *kernel.Proc, fd int) {
 			p.SysClose(s.lfd)
 			return
 		default:
-			s.broadcast(p, room, f)
+			out = s.broadcast(p, room, f, out)
 		}
 	}
 }
@@ -170,16 +174,31 @@ func (s *server) leave(p *kernel.Proc, room string, fd int) {
 }
 
 // broadcast fans a message out to every member of the room, sender
-// included. The room lock covers the writes: membership cannot change
+// included, encoding it once into out (the caller's scratch, returned
+// for reuse). The room lock covers the writes: membership cannot change
 // mid-fan-out, and a leaving member's fd is still valid because leave()
 // removes it under this same lock before the handler closes it.
-func (s *server) broadcast(p *kernel.Proc, room string, msg []byte) {
+func (s *server) broadcast(p *kernel.Proc, room string, msg, out []byte) []byte {
+	out = ulib.AppendFrame(out[:0], msg)
 	s.mu.Lock(p)
 	s.broadcasts++
 	for _, fd := range s.rooms[room] {
-		if err := ulib.WriteFrame(p, fd, msg); err == nil {
+		if writeAll(p, fd, out) == nil {
 			s.msgsOut++
 		}
 	}
 	s.mu.Unlock(p)
+	return out
+}
+
+// writeAll writes all of b to fd, looping over short writes.
+func writeAll(p *kernel.Proc, fd int, b []byte) error {
+	for len(b) > 0 {
+		n, err := p.SysWrite(fd, b)
+		if err != nil {
+			return err
+		}
+		b = b[n:]
+	}
+	return nil
 }

@@ -73,7 +73,9 @@ func TestFrameDecoderPathologicalFragmentation(t *testing.T) {
 					if f == nil {
 						return
 					}
-					got = append(got, f)
+					// The frame is a view that the next Feed may
+					// overwrite: keep a copy.
+					got = append(got, bytes.Clone(f))
 				}
 			}
 			feed(&d, deliver)
@@ -136,6 +138,190 @@ func TestFrameDecoderPendingDetectsTruncation(t *testing.T) {
 	if !d.Pending() {
 		t.Fatal("Pending() false with a partial frame buffered")
 	}
+}
+
+func TestFrameViewSurvivesLaterNext(t *testing.T) {
+	// Three frames in one Feed: the views Next hands out stay intact
+	// across the later Next calls, until the next Feed.
+	var d FrameDecoder
+	want := []string{"alpha", "", "gamma-gamma"}
+	var wire []byte
+	for _, w := range want {
+		wire = AppendFrame(wire, []byte(w))
+	}
+	d.Feed(wire)
+	var views [][]byte
+	for range want {
+		f, err := d.Next()
+		if err != nil || f == nil {
+			t.Fatalf("Next = %q, %v", f, err)
+		}
+		views = append(views, f)
+	}
+	if f, err := d.Next(); f != nil || err != nil {
+		t.Fatalf("Next past the last frame = %q, %v", f, err)
+	}
+	for i, v := range views {
+		if string(v) != want[i] {
+			t.Fatalf("view %d = %q after later Next calls, want %q", i, v, want[i])
+		}
+	}
+	// A caller appending to a view must not clobber the next frame.
+	_ = append(views[0], "XXXX"...)
+	if string(views[2]) != want[2] {
+		t.Fatalf("append to view 0 reached view 2: %q", views[2])
+	}
+}
+
+// encodedFrames concatenates AppendFrame encodings of n-byte payloads.
+func encodedFrames(sizes ...int) []byte {
+	var wire []byte
+	for i, n := range sizes {
+		wire = AppendFrame(wire, bytes.Repeat([]byte{byte(i + 1)}, n))
+	}
+	return wire
+}
+
+func TestFrameDecoderSteadyStateDoesNotAllocate(t *testing.T) {
+	for _, size := range []int{64, 16 << 10} {
+		wire := encodedFrames(size, size)
+		var d FrameDecoder
+		cycle := func() {
+			// Split mid-frame: reassembly across Feeds, then both frames.
+			d.Feed(wire[:len(wire)/3])
+			if f, _ := d.Next(); f != nil {
+				t.Fatal("frame complete after a third of the bytes")
+			}
+			d.Feed(wire[len(wire)/3:])
+			for i := 0; i < 2; i++ {
+				if f, err := d.Next(); err != nil || len(f) != size {
+					t.Fatalf("frame %d: %d bytes, %v", i, len(f), err)
+				}
+			}
+		}
+		cycle() // grow the buffer once
+		if n := testing.AllocsPerRun(100, cycle); n != 0 {
+			t.Fatalf("%d B frames: %v allocations per Feed+Next cycle, want 0", size, n)
+		}
+	}
+}
+
+// chunkSource is a descriptor stand-in for FrameReader: each read returns
+// the next chunk of a repeating stream, as much as fits.
+type chunkSource struct {
+	stream []byte
+	pos    int
+	reads  int
+}
+
+func (c *chunkSource) read(_ int, buf []byte) (int, error) {
+	c.reads++
+	n := copy(buf, c.stream[c.pos:])
+	c.pos = (c.pos + n) % len(c.stream)
+	return n, nil
+}
+
+func TestFrameRelayDoesNotAllocate(t *testing.T) {
+	// chanserv's relay: read a frame through a FrameReader, encode it for
+	// the broadcast into a per-connection scratch buffer. Once both
+	// buffers have grown, it allocates nothing, and a 16 KiB frame whose
+	// bytes are all available arrives in one read.
+	for _, size := range []int{64, 16 << 10} {
+		src := &chunkSource{stream: encodedFrames(size)}
+		r := &FrameReader{fd: 3, read: src.read}
+		var out []byte
+		relay := func() {
+			f, err := r.Next()
+			if err != nil || len(f) != size {
+				t.Fatalf("relay read %d bytes, %v", len(f), err)
+			}
+			out = AppendFrame(out[:0], f)
+		}
+		relay()
+		relay()
+		src.reads = 0
+		if n := testing.AllocsPerRun(100, relay); n != 0 {
+			t.Fatalf("%d B frames: %v allocations per relay, want 0", size, n)
+		}
+		if src.reads != 101 {
+			t.Fatalf("%d B frames: %d reads for 101 relays, want one each", size, src.reads)
+		}
+		if !bytes.Equal(out, src.stream) {
+			t.Fatalf("%d B frames: re-encoded frame differs from the wire", size)
+		}
+	}
+}
+
+// refDecoder is the copying decoder the view decoder must agree with: it
+// hands out a fresh copy of every frame.
+type refDecoder struct{ buf []byte }
+
+func (d *refDecoder) next() ([]byte, error) {
+	if len(d.buf) < FrameHdrSize {
+		return nil, nil
+	}
+	n := int(binary.BigEndian.Uint32(d.buf))
+	if n > MaxFrame {
+		return nil, ErrFrameTooBig
+	}
+	if len(d.buf) < FrameHdrSize+n {
+		return nil, nil
+	}
+	f := bytes.Clone(d.buf[FrameHdrSize : FrameHdrSize+n])
+	d.buf = d.buf[FrameHdrSize+n:]
+	return f, nil
+}
+
+// FuzzFrameDecoder feeds an arbitrary stream to the view decoder in chunks
+// cut by an arbitrary pattern and requires frame-for-frame agreement with
+// the copying reference. Every view from one Feed is rechecked after the
+// last Next before the following Feed.
+func FuzzFrameDecoder(f *testing.F) {
+	f.Add(encodedFrames(0, 1, 3, 255, 256, 257), []byte{1})
+	f.Add(encodedFrames(4096, 70000, 2), []byte{7, 200, 3})
+	f.Add(encodedFrames(64, 64, 64, 16<<10), []byte{0, 255, 13})
+	f.Add([]byte{0, 0, 0, 5, 'h', 'e'}, []byte{2})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3}, []byte{3, 4})
+	f.Fuzz(func(t *testing.T, wire, cuts []byte) {
+		var d FrameDecoder
+		var ref refDecoder
+		for i, c := 0, 0; i < len(wire); c++ {
+			n := len(wire) - i
+			if len(cuts) > 0 {
+				n = min(n, 1+int(cuts[c%len(cuts)])*int(cuts[c%len(cuts)]))
+			}
+			d.Feed(wire[i : i+n])
+			ref.buf = append(ref.buf, wire[i:i+n]...)
+			i += n
+			var views, copies [][]byte
+			for {
+				got, gerr := d.Next()
+				want, werr := ref.next()
+				if gerr != werr {
+					t.Fatalf("Next error %v, reference %v", gerr, werr)
+				}
+				if gerr != nil {
+					return
+				}
+				if (got == nil) != (want == nil) || !bytes.Equal(got, want) {
+					t.Fatalf("Next = %d bytes (nil %v), reference %d bytes (nil %v)",
+						len(got), got == nil, len(want), want == nil)
+				}
+				if got == nil {
+					break
+				}
+				views, copies = append(views, got), append(copies, want)
+			}
+			for k := range views {
+				if !bytes.Equal(views[k], copies[k]) {
+					t.Fatalf("view %d changed before the next Feed", k)
+				}
+			}
+		}
+		if d.Pending() != (len(ref.buf) > 0) {
+			t.Fatalf("Pending = %v with %d reference bytes left", d.Pending(), len(ref.buf))
+		}
+	})
 }
 
 func ExampleEncodeFrame() {

@@ -146,39 +146,6 @@ func ReadFile(p *kernel.Proc, path string) ([]byte, error) {
 	}
 }
 
-// PreadFull reads exactly len(buf) bytes at off via pread — no seek, no
-// shared-offset traffic, so concurrent readers of one descriptor (or a
-// fork-shared one) never disturb each other.
-func PreadFull(p *kernel.Proc, fd int, buf []byte, off int64) error {
-	for done := 0; done < len(buf); {
-		n, err := p.SysPread(fd, buf[done:], off+int64(done))
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			return fmt.Errorf("ulib: short pread: %d of %d at %d", done, len(buf), off)
-		}
-		done += n
-	}
-	return nil
-}
-
-// PwriteFull writes all of buf at off via pwrite, leaving the shared
-// offset untouched.
-func PwriteFull(p *kernel.Proc, fd int, buf []byte, off int64) error {
-	for done := 0; done < len(buf); {
-		n, err := p.SysPwrite(fd, buf[done:], off+int64(done))
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			return fmt.Errorf("ulib: short pwrite: %d of %d at %d", done, len(buf), off)
-		}
-		done += n
-	}
-	return nil
-}
-
 // WriteFile creates/truncates path with data.
 func WriteFile(p *kernel.Proc, path string, data []byte) error {
 	fd, err := p.SysOpen(path, fs.OCreate|fs.OWrOnly|fs.OTrunc)
@@ -194,17 +161,6 @@ func WriteFile(p *kernel.Proc, path string, data []byte) error {
 		data = data[n:]
 	}
 	return nil
-}
-
-// AppendFile appends data to path.
-func AppendFile(p *kernel.Proc, path string, data []byte) error {
-	fd, err := p.SysOpen(path, fs.OCreate|fs.OWrOnly|fs.OAppend)
-	if err != nil {
-		return err
-	}
-	defer p.SysClose(fd)
-	_, err = p.SysWrite(fd, data)
-	return err
 }
 
 // Printf formats to an open descriptor (the console, usually).

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"protosim/internal/kernel"
-	"protosim/internal/kernel/wm"
 )
 
 // Mutex is a user-level mutex built on the semaphore syscalls, exactly as
@@ -87,14 +86,3 @@ func (s *SpinLock) Lock(p *kernel.Proc) {
 
 // Unlock releases.
 func (s *SpinLock) Unlock() { s.held.Store(false) }
-
-// ReadEvent reads one input event record from an event descriptor
-// (/dev/events or the surface event stream).
-func ReadEvent(p *kernel.Proc, fd int) (wm.InputEvent, error) {
-	buf := make([]byte, wm.EventSize)
-	if _, err := p.SysRead(fd, buf); err != nil {
-		return wm.InputEvent{}, err
-	}
-	e, _ := wm.DecodeEvent(buf)
-	return e, nil
-}

@@ -105,13 +105,6 @@ func (p *PWMAudio) push(samples []int16) int {
 	return len(samples)
 }
 
-// FIFOLevel returns how many samples are queued.
-func (p *PWMAudio) FIFOLevel() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.fifo)
-}
-
 // Stats reports playback progress and health.
 func (p *PWMAudio) Stats() (consumed, underruns uint64, energy float64) {
 	p.mu.Lock()
@@ -179,13 +172,6 @@ func (d *DMAEngine) TransferToPWM(pwm *PWMAudio, pa, n int) bool {
 		d.ic.Raise(IRQDMA)
 	}()
 	return true
-}
-
-// Busy reports whether a transfer is in flight.
-func (d *DMAEngine) Busy() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.busy
 }
 
 // Stats reports completed transfer counts for the power model.

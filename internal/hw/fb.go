@@ -73,7 +73,6 @@ type Framebuffer struct {
 	front       []byte // what the panel shows
 	flushes     int
 	flushBytes  int
-	presentGen  uint64
 	staleAtLast int
 }
 
@@ -107,7 +106,6 @@ func (fb *Framebuffer) FlushRegion(off, n int) {
 	copy(fb.front[off:off+n], src)
 	fb.flushes++
 	fb.flushBytes += n
-	fb.presentGen++
 	fb.mu.Unlock()
 }
 
@@ -161,14 +159,6 @@ func (fb *Framebuffer) Stats() (flushes, flushBytes int) {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
 	return fb.flushes, fb.flushBytes
-}
-
-// PresentGen is a monotonically increasing count of flushes, used by tests
-// to wait for "a new frame was presented".
-func (fb *Framebuffer) PresentGen() uint64 {
-	fb.mu.Lock()
-	defer fb.mu.Unlock()
-	return fb.presentGen
 }
 
 var crc64Table = crc64.MakeTable(crc64.ECMA)

@@ -71,13 +71,6 @@ func (g *GPIO) setLevel(pin int, pressed bool) {
 	g.ic.Raise(IRQGPIO)
 }
 
-// Level reads a pin's current level (true = pressed).
-func (g *GPIO) Level(pin int) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.level[pin]
-}
-
 // DrainEvents returns and clears pending edges; the kernel driver calls this
 // from its GPIO IRQ handler.
 func (g *GPIO) DrainEvents() []GPIOEvent {

@@ -3,7 +3,6 @@ package hw
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"sync"
 )
 
@@ -396,29 +395,4 @@ func UsageToASCII(usage, mods byte) byte {
 		return '/'
 	}
 	return 0
-}
-
-// DescribeUsage names a usage code for traces.
-func DescribeUsage(usage byte) string {
-	if a := UsageToASCII(usage, 0); a != 0 && a != 0x08 {
-		if a == '\n' {
-			return "enter"
-		}
-		return string(rune(a))
-	}
-	switch usage {
-	case UsageEsc:
-		return "esc"
-	case UsageTab:
-		return "tab"
-	case UsageUp:
-		return "up"
-	case UsageDown:
-		return "down"
-	case UsageLeft:
-		return "left"
-	case UsageRight:
-		return "right"
-	}
-	return fmt.Sprintf("usage%#x", usage)
 }

@@ -3,7 +3,6 @@ package bcache
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,25 +17,14 @@ import (
 )
 
 // errShardFull reports transient buffer exhaustion: every buffer in the
-// shard is pinned by in-flight operations. It is internal — claim paths
-// back off and retry, because pins are transient (a claim releases as soon
-// as its device command completes), so capacity reappears on its own. The
-// volume-lock era could never see this (one operation in flight per
-// mount); per-inode locking makes overlapping claims routine.
+// shard is pinned by in-flight operations, or (with the daemon running)
+// every unpinned one is dirty. It is internal — claim paths sleep on the
+// shard's wait queue until an unpin makes room, then retry, because pins
+// are transient (a claim releases as soon as its device command
+// completes), so capacity reappears on its own. The volume-lock era could
+// never see this (one operation in flight per mount); per-inode locking
+// makes overlapping claims routine.
 var errShardFull = errors.New("bcache: all buffers in shard referenced")
-
-// yieldRetry gives up the CPU between exhaustion retries. For a simulated
-// task that MUST be the scheduler's Yield — runtime.Gosched only yields
-// the host thread, not the simulated core, so a Gosched spin on a
-// single-core configuration would starve the very pin-holder it is
-// waiting for. Nil tasks (host contexts) spin-yield, as in SleepLock.
-func yieldRetry(t *sched.Task) {
-	if t != nil {
-		t.Yield()
-	} else {
-		runtime.Gosched()
-	}
-}
 
 // Defaults. DefaultBuffers is deliberately far above xv6's NBUF=30: the
 // sharded cache is meant to hold working sets (a WAD plus level data, a
@@ -176,6 +164,32 @@ type shard struct {
 
 	// LRU list of unreferenced buffers; head is the eviction candidate.
 	head, tail *Buf
+
+	// Claims that found the shard full sleep on wq (awaitRoom) until a
+	// buffer's refs drop to 0. frees counts those drops, so a claim can
+	// tell a release since its failure from one that came before it;
+	// sleepers counts the claims, so an unpin wakes wq only when someone
+	// waits.
+	frees    uint64
+	sleepers int
+	wq       sched.WaitQueue
+}
+
+// unrefLocked drops one reference and reports whether that freed the
+// buffer. At zero the buffer joins the LRU, at the front (the next
+// eviction candidate) or the back, and counts in frees. Caller holds s.mu.
+func (s *shard) unrefLocked(b *Buf, front bool) (freed bool) {
+	b.refs--
+	if b.refs > 0 {
+		return false
+	}
+	if front {
+		s.lruPushFront(b)
+	} else {
+		s.lruPushBack(b)
+	}
+	s.frees++
+	return true
 }
 
 func (s *shard) lruPushBack(b *Buf) {
@@ -257,16 +271,13 @@ type Cache struct {
 	idleHook func(t *sched.Task)
 
 	// Writeback-daemon state. daemonOn gates the eviction handoff; the
-	// kick/stop machinery serves both the sched-task and host-goroutine
-	// daemon modes.
+	// daemon sleeps on daemonWQ whether it runs as a task or on a host
+	// goroutine, and closes doneCh when it exits.
 	daemonOn   atomic.Bool
 	daemonKick atomic.Bool
 	daemonStop atomic.Bool
 	daemonWQ   sched.WaitQueue
-	kickCh     chan struct{}
-	stopCh     chan struct{}
 	doneCh     chan struct{}
-	stopOnce   sync.Once
 
 	// Pools for steady-state IO: claimed-segment slices and the scratch
 	// blocks the cache-fill-only read path needs, so the hot paths stop
@@ -317,8 +328,6 @@ func NewWithOptions(dev fs.BlockDevice, opts Options) *Cache {
 		blockSize:   dev.BlockSize(),
 		readahead:   ra,
 		writeBehind: opts.Policy == WritePolicyBehind,
-		kickCh:      make(chan struct{}, 1),
-		stopCh:      make(chan struct{}),
 		doneCh:      make(chan struct{}),
 	}
 	c.onGiveUp = opts.OnGiveUp
@@ -397,12 +406,12 @@ func (c *Cache) Device() fs.QueuedBlockDevice { return c.q }
 // provide (two buffers aliasing one disk block is the classic bug).
 func (c *Cache) Get(t *sched.Task, lba int) (*Buf, error) {
 	for {
-		b, err := c.pin(t, lba)
+		b, frees, err := c.pin(t, lba)
 		if err == errShardFull {
 			// Transient: racing claims hold the whole shard. They hold no
 			// lock we own (a Get pins before locking anything), so
-			// yielding until one drains cannot deadlock.
-			yieldRetry(t)
+			// sleeping until one drains cannot deadlock.
+			c.awaitRoom(t, lba, frees)
 			continue
 		}
 		if err != nil {
@@ -509,8 +518,9 @@ func (c *Cache) setState(b *Buf, valid, dirty, setOwner bool, o *Owner) {
 // The returned buffer may be invalid; the caller fills it under its
 // sleeplock. A dirty eviction victim stays visible in the map until its
 // writeback completes, so a concurrent Get of the evicted block can never
-// read stale data from the device.
-func (c *Cache) pin(t *sched.Task, lba int) (*Buf, error) {
+// read stale data from the device. With errShardFull it also returns the
+// shard's frees count at the failure, for awaitRoom.
+func (c *Cache) pin(t *sched.Task, lba int) (*Buf, uint64, error) {
 	s := c.shard(lba)
 	missed := false
 	s.mu.Lock()
@@ -526,7 +536,7 @@ func (c *Cache) pin(t *sched.Task, lba int) (*Buf, error) {
 				c.hits.Add(1)
 			}
 			s.mu.Unlock()
-			return b, nil
+			return b, 0, nil
 		}
 		if !missed {
 			missed = true
@@ -540,15 +550,16 @@ func (c *Cache) pin(t *sched.Task, lba int) (*Buf, error) {
 			s.n++
 			s.bufs[lba] = b
 			s.mu.Unlock()
-			return b, nil
+			return b, 0, nil
 		}
 
 		// Recycle an unreferenced buffer. With a writeback daemon running,
 		// eviction never writes inline: it takes the least-recently-used
 		// CLEAN buffer and, if only dirty ones remain, hands the shard to
-		// the daemon (kick + transient-full backoff) — the caller retries
-		// once the daemon has cleaned a victim, and the writer that made
-		// the buffers dirty never stalls behind an unrelated writeback.
+		// the daemon (kick + errShardFull) — the caller sleeps until the
+		// daemon's writeback unpins a cleaned victim, and the writer that
+		// made the buffers dirty never stalls behind an unrelated
+		// writeback.
 		daemon := c.daemonOn.Load()
 		var v *Buf
 		if daemon {
@@ -566,11 +577,12 @@ func (c *Cache) pin(t *sched.Task, lba int) (*Buf, error) {
 			v = s.lruPopFront()
 		}
 		if v == nil {
+			frees := s.frees
 			s.mu.Unlock()
 			if daemon {
 				c.kickDaemon()
 			}
-			return nil, errShardFull
+			return nil, frees, errShardFull
 		}
 		if !v.dirty || !v.valid {
 			delete(s.bufs, v.lba)
@@ -585,7 +597,7 @@ func (c *Cache) pin(t *sched.Task, lba int) (*Buf, error) {
 			v.refs = 1
 			s.bufs[lba] = v
 			s.mu.Unlock()
-			return v, nil
+			return v, 0, nil
 		}
 
 		// Dirty victim, no daemon: write it back while it stays in the map
@@ -600,33 +612,62 @@ func (c *Cache) pin(t *sched.Task, lba int) (*Buf, error) {
 		s.mu.Unlock()
 		err := c.flushQueued(t, []int{v.lba}, false)
 		s.mu.Lock()
-		v.refs--
-		if v.refs == 0 {
-			// Front, not back: the cleaned victim should be the next
-			// eviction candidate, not outlive hotter buffers.
-			s.lruPushFront(v)
+		// Front, not back: the cleaned victim should be the next eviction
+		// candidate, not outlive hotter buffers. WakeAll takes no shard
+		// lock, so waking under s.mu is safe.
+		if s.unrefLocked(v, true) && s.sleepers > 0 {
+			s.wq.WakeAll()
 		}
 		if err != nil {
 			s.mu.Unlock()
-			return nil, err
+			return nil, 0, err
 		}
 		// Loop: the victim is clean now (or claimed by a racer, in which
 		// case the next LRU pop finds another candidate).
 	}
 }
 
-// unpin drops a reference; at zero the buffer goes to the LRU tail.
-func (c *Cache) unpin(b *Buf) {
+// unpin drops a reference; at zero the buffer goes to the LRU tail, and
+// claims sleeping for room in its shard wake. It reports whether the
+// buffer was freed.
+func (c *Cache) unpin(b *Buf) bool {
 	s := c.shard(b.lba)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if b.refs <= 0 {
+		s.mu.Unlock()
 		panic("bcache: release of unreferenced buffer")
 	}
-	b.refs--
-	if b.refs == 0 {
-		s.lruPushBack(b)
+	freed := s.unrefLocked(b, false)
+	wake := freed && s.sleepers > 0
+	s.mu.Unlock()
+	if wake {
+		s.wq.WakeAll()
 	}
+	return freed
+}
+
+// awaitRoom sleeps after a claim found lba's shard full, until some
+// buffer there is freed: until the shard's frees count moves past seen,
+// its value at the failure plus the claim's own releases since. A claim
+// that counted its own released pins as room would retry at once, fail
+// at the same block and never sleep, holding its core. The claim holds
+// no pins here. It counts itself a sleeper before it registers on the
+// queue, so a later free either sees the count and wakes it, or the
+// re-check sees frees move.
+func (c *Cache) awaitRoom(t *sched.Task, lba int, seen uint64) {
+	s := c.shard(lba)
+	s.mu.Lock()
+	s.sleepers++
+	s.mu.Unlock()
+	s.wq.SleepUnless(t, func() bool {
+		s.mu.Lock()
+		moved := s.frees != seen
+		s.mu.Unlock()
+		return moved
+	})
+	s.mu.Lock()
+	s.sleepers--
+	s.mu.Unlock()
 }
 
 // MarkDirty records that the caller modified the buffer — an unowned
@@ -726,33 +767,40 @@ func (c *Cache) segmentMax() int {
 // Flush uses.
 //
 // When concurrent claims exhaust a shard (errShardFull), the whole claim
-// is released before retrying — no hold-and-wait, so claims cannot
-// resource-deadlock against each other, and a lone claim always fits
-// (segmentMax caps a segment at half the cache), so retries terminate once
-// racing claims drain. Real pin errors (device writeback failures) abort.
+// is released before it sleeps for room and retries — no hold-and-wait,
+// so claims cannot resource-deadlock against each other, and a lone claim
+// always fits (segmentMax caps a segment at half the cache), so retries
+// terminate once racing claims drain. Real pin errors (device writeback
+// failures) abort.
 func (c *Cache) claimSegment(t *sched.Task, lba, n int) (*[]*Buf, error) {
 	for {
-		bufs, err := c.tryClaimSegment(t, lba, n)
-		if err == errShardFull {
-			yieldRetry(t)
-			continue
+		bufs, full, seen, err := c.tryClaimSegment(t, lba, n)
+		if err != errShardFull {
+			return bufs, err
 		}
-		return bufs, err
+		c.awaitRoom(t, full, seen)
 	}
 }
 
-func (c *Cache) tryClaimSegment(t *sched.Task, lba, n int) (*[]*Buf, error) {
+// tryClaimSegment is one claim attempt. On errShardFull it also returns
+// the block whose shard was full and that shard's frees count after the
+// attempt released its own pins, for awaitRoom.
+func (c *Cache) tryClaimSegment(t *sched.Task, lba, n int) (*[]*Buf, int, uint64, error) {
 	sp := c.segPool.Get().(*[]*Buf)
 	bufs := (*sp)[:0]
 	for i := 0; i < n; i++ {
-		b, err := c.pin(t, lba+i)
+		b, frees, err := c.pin(t, lba+i)
 		if err != nil {
+			full := c.shard(lba + i)
 			for _, p := range bufs {
-				c.unpin(p)
+				// Once unpinned, p may be recycled for another block.
+				if own := c.shard(p.lba) == full; c.unpin(p) && own {
+					frees++
+				}
 			}
 			*sp = bufs[:0]
 			c.segPool.Put(sp)
-			return nil, err
+			return nil, lba + i, frees, err
 		}
 		bufs = append(bufs, b)
 	}
@@ -760,7 +808,7 @@ func (c *Cache) tryClaimSegment(t *sched.Task, lba, n int) (*[]*Buf, error) {
 		b.lock.Lock(t)
 	}
 	*sp = bufs
-	return sp, nil
+	return sp, 0, 0, nil
 }
 
 // releaseSegment unlocks and unpins a claimed segment and returns its
@@ -1208,21 +1256,30 @@ func (c *Cache) WritebackErrPending() bool { return c.devErr.Pending() }
 
 // RunDaemon is the body of the background writeback daemon — the kernel
 // runs it as the kflushd task for each mounted cache; tests may run it on
-// a plain goroutine with a nil task. It flushes dirty buffers whenever
-// the dirty ratio crosses Options.WritebackRatio (MarkDirty/WriteRange
-// kick it) and at least every Options.FlushInterval (the age bound).
+// a plain goroutine with a nil task, which sleeps on the same wait queue.
+// It flushes dirty buffers whenever the dirty ratio crosses
+// Options.WritebackRatio (MarkDirty/WriteRange kick it) and at least
+// every Options.FlushInterval (the age bound).
 // A kicked pass writes back what was dirty when it began; writes that
 // keep the count at or above the trigger kick again, so kicks bring the
 // count below the trigger and the age bound covers the rest. While it
 // runs, eviction hands dirty victims to it instead of writing them
 // inline.
 //
-// after schedules a wakeup through the kernel's timer source (nil with a
-// nil task: host timers are used). RunDaemon returns after StopDaemon.
+// after schedules a wakeup through the kernel's timer source (nil:
+// ktime.HostAfter). RunDaemon returns after StopDaemon.
 func (c *Cache) RunDaemon(t *sched.Task, after ktime.AfterFunc) {
+	if after == nil {
+		after = ktime.HostAfter
+	}
 	c.daemonOn.Store(true)
 	defer func() {
 		c.daemonOn.Store(false)
+		// Dirty buffers are victims again: claims sleeping for a clean
+		// one can evict them inline now.
+		for _, s := range c.shards {
+			s.wq.WakeAll()
+		}
 		close(c.doneCh)
 	}()
 	for {
@@ -1258,21 +1315,18 @@ func (c *Cache) daemonWait(t *sched.Task, after ktime.AfterFunc) {
 	if c.daemonKick.Swap(false) {
 		return // kicked while flushing: go again immediately
 	}
-	if t != nil && after != nil {
-		stop := after(c.flushInterval, func() { c.daemonWQ.WakeAll() })
-		c.daemonWQ.SleepUnless(t, func() bool {
-			return c.daemonKick.Load() || c.daemonStop.Load()
-		})
-		stop()
-		c.daemonKick.Store(false)
-		return
-	}
-	select {
-	case <-c.kickCh:
-		c.daemonKick.Store(false)
-	case <-time.After(c.flushInterval):
-	case <-c.stopCh:
-	}
+	// expired keeps an interval timer that fires before the sleep
+	// registers from being lost.
+	var expired atomic.Bool
+	stop := after(c.flushInterval, func() {
+		expired.Store(true)
+		c.daemonWQ.WakeAll()
+	})
+	c.daemonWQ.SleepUnless(t, func() bool {
+		return expired.Load() || c.daemonKick.Load() || c.daemonStop.Load()
+	})
+	stop()
+	c.daemonKick.Store(false)
 }
 
 // kickDaemon wakes the daemon ahead of its interval (ratio crossings,
@@ -1280,10 +1334,6 @@ func (c *Cache) daemonWait(t *sched.Task, after ktime.AfterFunc) {
 func (c *Cache) kickDaemon() {
 	c.daemonKick.Store(true)
 	c.daemonWQ.WakeAll()
-	select {
-	case c.kickCh <- struct{}{}:
-	default:
-	}
 }
 
 // StopDaemon signals the daemon to exit and waits for it. Callers must
@@ -1294,7 +1344,6 @@ func (c *Cache) kickDaemon() {
 // calling twice is fine (the second wait returns immediately).
 func (c *Cache) StopDaemon() {
 	c.daemonStop.Store(true)
-	c.stopOnce.Do(func() { close(c.stopCh) })
 	c.daemonWQ.WakeAll()
 	<-c.doneCh
 }

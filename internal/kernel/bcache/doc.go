@@ -50,9 +50,10 @@
 // kick it) and at least every Options.FlushInterval (the age bound).
 // While a daemon runs, eviction never writes back inline: a claim that
 // needs a buffer takes the least-recently-used CLEAN victim, and if only
-// dirty victims remain it kicks the daemon and backs off with a
-// transient-full retry — a writer never stalls behind another file's
-// writeback, and the daemon (not a random evictor) pays the device wait.
+// dirty victims remain it kicks the daemon and sleeps on the shard's wait
+// queue until the daemon's writeback unpins a clean victim — a writer
+// never waits on another file's writeback command itself, and the daemon
+// (not a random evictor) pays the device wait.
 // Without a daemon (write-through configurations, tests), eviction of a
 // dirty victim writes it back through the same queued writeback path as
 // a one-block flush, while the victim stays mapped and pinned, so a

@@ -94,8 +94,7 @@ type request struct {
 
 	done bool
 	err  error
-	wq   sched.WaitQueue // task waiters (completion IRQ wakes them)
-	ch   chan struct{}   // host-side waiters, made lazily under Queue.mu
+	wq   sched.WaitQueue // waiters, task or host (completion wakes them)
 }
 
 // command is one device command: a merged run of requests.
@@ -513,29 +512,15 @@ func (q *Queue) submit(t *sched.Task, write, waitsNow bool, lba, n int, buf []by
 	return r, nil
 }
 
-// wait sleeps until r completes. Tasks sleep on the request's wait queue
-// and are woken from the completion IRQ; host-side callers block on a
-// channel. The sleep is uninterruptible (completions always arrive). A
-// waiter ends any anticipatory window first — it is about to sleep, so
-// the window's batch is as big as it is going to get.
+// wait sleeps until r completes. Callers, tasks and host contexts
+// alike, sleep on the request's wait queue and are woken from the
+// completion IRQ. The sleep is uninterruptible (completions always
+// arrive). A waiter ends any anticipatory window first — it is about to
+// sleep, so the window's batch is as big as it is going to get.
 func (q *Queue) wait(t *sched.Task, r *request) error {
 	q.flushAnticipation(t)
 	parked := q.parkPlugs(t)
 	defer q.unparkPlugs(t, parked)
-	if t == nil {
-		q.mu.Lock(nil)
-		if r.done {
-			q.mu.Unlock()
-			return r.err
-		}
-		if r.ch == nil {
-			r.ch = make(chan struct{})
-		}
-		ch := r.ch
-		q.mu.Unlock()
-		<-ch
-		return r.err
-	}
 	isDone := func() bool {
 		q.mu.Lock(t)
 		d := r.done
@@ -919,18 +904,11 @@ func (q *Queue) markDead(t *sched.Task, cmd *command, err error) {
 		cmds = append(cmds, c)
 	}
 	q.closeAnticipationLocked()
-	var chans []chan struct{}
 	for _, r := range pending {
 		r.err = derr
 		r.done = true
-		if r.ch != nil {
-			chans = append(chans, r.ch)
-		}
 	}
 	q.mu.Unlock()
-	for _, ch := range chans {
-		close(ch)
-	}
 	for _, r := range pending {
 		r.wq.WakeAll()
 	}
@@ -949,19 +927,12 @@ func (q *Queue) complete(t *sched.Task, cmd *command, err error) {
 			copy(r.buf[:r.n*q.bs], cmd.buf[(r.lba-cmd.lba)*q.bs:])
 		}
 	}
-	var chans []chan struct{}
 	for _, r := range cmd.reqs {
 		r.err = err
 		r.done = true
-		if r.ch != nil {
-			chans = append(chans, r.ch)
-		}
 	}
 	q.mu.Unlock()
 	q.recycle(cmd)
-	for _, ch := range chans {
-		close(ch)
-	}
 	for _, r := range cmd.reqs {
 		r.wq.WakeAll()
 	}

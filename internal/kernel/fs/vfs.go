@@ -42,17 +42,6 @@ func (v *VFS) Mount(point string, fsys FileSystem) error {
 	return nil
 }
 
-// MountPoints lists mount points, longest first.
-func (v *VFS) MountPoints() []string {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	pts := make([]string, len(v.mounts))
-	for i, m := range v.mounts {
-		pts[i] = m.point
-	}
-	return pts
-}
-
 // resolve finds the filesystem owning path and the path relative to it:
 // the first mount point, longest first, that prefixes path at a
 // component boundary.

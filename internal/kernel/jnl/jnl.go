@@ -54,7 +54,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -112,6 +111,13 @@ type Journal struct {
 	abortCause  error // first device error that poisoned the batch
 	ckptErr     error // sticky: a failed checkpoint wedges the log
 	err         error // sticky commit/checkpoint error, reported by Sync
+
+	// Begin sleeps on wq while a commit owns the log or the batch has no
+	// room, sync while brackets are open or a commit runs; sleepers counts
+	// them, so End and the end of a commit or checkpoint touch wq only
+	// when someone waits.
+	sleepers int
+	wq       sched.WaitQueue
 
 	batch   []*bcache.Buf       // frozen buffers of the open batch, record order
 	inBatch map[int]*bcache.Buf // home lba -> frozen buffer (absorption)
@@ -174,17 +180,6 @@ func New(bc *bcache.Cache, start, blocks int) *Journal {
 	return j
 }
 
-// yieldRetry gives up the CPU between reservation retries (see bcache's
-// twin: simulated tasks must Yield the simulated core; host contexts
-// Gosched).
-func yieldRetry(t *sched.Task) {
-	if t != nil {
-		t.Yield()
-	} else {
-		runtime.Gosched()
-	}
-}
-
 // Revoke quarantines a block the open batch frees, so the filesystem does
 // not hand it to unjournaled file data while a logged transaction could
 // still replay old metadata over it. Call inside the freeing operation's
@@ -208,15 +203,56 @@ func (j *Journal) Revoked(lba int) bool {
 // owns the log or while admitting another operation could overflow the
 // batch (every admitted operation may still Record maxOp blocks).
 func (j *Journal) Begin(t *sched.Task) {
-	for {
-		j.mu.Lock()
-		if !j.committing && len(j.batch)+(j.outstanding+1)*j.maxOp <= j.batchMax {
-			j.outstanding++
-			j.mu.Unlock()
-			return
-		}
-		j.mu.Unlock()
-		yieldRetry(t)
+	j.mu.Lock()
+	for !j.admitsLocked() {
+		j.sleepLocked(t, j.admits)
+	}
+	j.outstanding++
+	j.mu.Unlock()
+}
+
+// admitsLocked reports whether Begin may open another bracket. Caller
+// holds j.mu.
+func (j *Journal) admitsLocked() bool {
+	return !j.committing && len(j.batch)+(j.outstanding+1)*j.maxOp <= j.batchMax
+}
+
+func (j *Journal) admits() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.admitsLocked()
+}
+
+// quietLocked reports whether no bracket is open and no commit owns the
+// log. Caller holds j.mu.
+func (j *Journal) quietLocked() bool { return j.outstanding == 0 && !j.committing }
+
+func (j *Journal) quiet() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.quietLocked()
+}
+
+// sleepLocked sleeps on wq until done() holds or a wake arrives. The
+// caller holds j.mu, which is dropped across the sleep and held again on
+// return. Counting the sleeper under j.mu before registering on wq closes
+// the lost-wakeup window: a waker that changes the state after the count
+// sees it and wakes, and one before it is seen by done().
+func (j *Journal) sleepLocked(t *sched.Task, done func() bool) {
+	j.sleepers++
+	j.mu.Unlock()
+	j.wq.SleepUnless(t, done)
+	j.mu.Lock()
+	j.sleepers--
+}
+
+// unlockAndWake drops j.mu and wakes the sleepers, if any: the caller
+// just ended a bracket or released the log.
+func (j *Journal) unlockAndWake() {
+	wake := j.sleepers > 0
+	j.mu.Unlock()
+	if wake {
+		j.wq.WakeAll()
 	}
 }
 
@@ -307,13 +343,13 @@ func (j *Journal) End(t *sched.Task) error {
 	j.mu.Lock()
 	j.outstanding--
 	if j.outstanding > 0 {
-		j.mu.Unlock()
+		j.unlockAndWake()
 		return nil
 	}
 	if len(j.batch) == 0 {
 		// Nothing recorded; nothing to poison.
 		j.aborted, j.abortCause = false, nil
-		j.mu.Unlock()
+		j.unlockAndWake()
 		return nil
 	}
 	j.committing = true
@@ -331,7 +367,7 @@ func (j *Journal) End(t *sched.Task) error {
 		j.err = err
 	}
 	j.committing = false
-	j.mu.Unlock()
+	j.unlockAndWake()
 	return err
 }
 
@@ -349,45 +385,41 @@ func (j *Journal) Sync(t *sched.Task) error { return j.sync(t, false) }
 func (j *Journal) Drain(t *sched.Task) error { return j.sync(t, true) }
 
 func (j *Journal) sync(t *sched.Task, ckpt bool) error {
-	for {
-		j.mu.Lock()
-		if j.outstanding > 0 || j.committing {
-			j.mu.Unlock()
-			yieldRetry(t)
-			continue
-		}
-		if len(j.batch) == 0 && (!ckpt || len(j.homes) == 0) {
-			j.aborted, j.abortCause = false, nil
-			err := j.err
-			j.err = nil
-			j.mu.Unlock()
-			return err
-		}
-		j.committing = true
-		aborted, cause := j.aborted, j.abortCause
-		j.mu.Unlock()
-		var cerr error
-		switch {
-		case len(j.batch) == 0:
-		case aborted:
-			j.discard(t)
-			cerr = abortError(cause)
-		default:
-			cerr = j.commit(t)
-		}
-		if cerr == nil && ckpt && len(j.homes) > 0 {
-			cerr = j.checkpoint(t)
-		}
-		j.mu.Lock()
-		if cerr != nil && j.err == nil {
-			j.err = cerr
-		}
+	j.mu.Lock()
+	for !j.quietLocked() {
+		j.sleepLocked(t, j.quiet)
+	}
+	if len(j.batch) == 0 && (!ckpt || len(j.homes) == 0) {
+		j.aborted, j.abortCause = false, nil
 		err := j.err
 		j.err = nil
-		j.committing = false
 		j.mu.Unlock()
 		return err
 	}
+	j.committing = true
+	aborted, cause := j.aborted, j.abortCause
+	j.mu.Unlock()
+	var cerr error
+	switch {
+	case len(j.batch) == 0:
+	case aborted:
+		j.discard(t)
+		cerr = abortError(cause)
+	default:
+		cerr = j.commit(t)
+	}
+	if cerr == nil && ckpt && len(j.homes) > 0 {
+		cerr = j.checkpoint(t)
+	}
+	j.mu.Lock()
+	if cerr != nil && j.err == nil {
+		j.err = cerr
+	}
+	err := j.err
+	j.err = nil
+	j.committing = false
+	j.unlockAndWake()
+	return err
 }
 
 // Checkpoint opportunistically drains the log — the kflushd idle hook
@@ -398,7 +430,7 @@ func (j *Journal) sync(t *sched.Task, ckpt bool) error {
 // next Sync, since the idle hook has nobody to report to.
 func (j *Journal) Checkpoint(t *sched.Task) error {
 	j.mu.Lock()
-	if j.outstanding > 0 || j.committing || len(j.homes) == 0 {
+	if !j.quietLocked() || len(j.homes) == 0 {
 		j.mu.Unlock()
 		return nil
 	}
@@ -410,7 +442,7 @@ func (j *Journal) Checkpoint(t *sched.Task) error {
 		j.err = err
 	}
 	j.committing = false
-	j.mu.Unlock()
+	j.unlockAndWake()
 	return err
 }
 
@@ -619,9 +651,13 @@ func (j *Journal) Recover(t *sched.Task) (int, error) {
 // Stats snapshots journal counters. The counters are atomics, so a
 // snapshot never waits on (or races with) a commit in flight.
 func (j *Journal) Stats() Stats {
+	// Checkpoints before Commits: a checkpoint follows the commit it
+	// empties and commits only grow, so the snapshot keeps
+	// Checkpoints <= Commits.
+	checkpoints := j.checkpoints.Load()
 	return Stats{
 		Commits:     j.commits.Load(),
-		Checkpoints: j.checkpoints.Load(),
+		Checkpoints: checkpoints,
 		Installs:    j.installs.Load(),
 		Absorbed:    j.absorbed.Load(),
 		Recovered:   j.recovered.Load(),
@@ -632,6 +668,3 @@ func (j *Journal) Stats() Stats {
 // Slots reports how many slots the log may fill before a checkpoint must
 // empty it (tests size transactions with it).
 func (j *Journal) Slots() int { return j.slots }
-
-// MaxOp reports the per-operation block budget.
-func (j *Journal) MaxOp() int { return j.maxOp }

@@ -250,13 +250,6 @@ func (m *Monitor) SetWatchpoint(addr uint64, kind AccessKind) {
 	m.mu.Unlock()
 }
 
-// ClearWatchpoint disarms addr.
-func (m *Monitor) ClearWatchpoint(addr uint64) {
-	m.mu.Lock()
-	delete(m.watchpoints, addr)
-	m.mu.Unlock()
-}
-
 // SetSingleStep toggles single-stepping for a task.
 func (m *Monitor) SetSingleStep(taskID int, on bool) {
 	m.mu.Lock()

@@ -13,7 +13,6 @@ package kernel
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -192,18 +191,6 @@ func (k *Kernel) RegisterProgram(name string, fn Program) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	k.programs[name] = fn
-}
-
-// Programs lists registered program names.
-func (k *Kernel) Programs() []string {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	out := make([]string, 0, len(k.programs))
-	for n := range k.programs {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Boot brings the kernel up: scheduler and per-core timers, memory,

@@ -182,7 +182,7 @@ func (s *Semaphore) Value() int {
 // debug lock-order assertion when SetRankCheck(true) is active.
 type SleepLock struct {
 	state   atomic.Int32 // sleepFree or sleepHeld
-	waiters atomic.Int32 // tasks between announcing a wait and leaving it
+	waiters atomic.Int32 // waiters between announcing a wait and leaving it
 	wq      sched.WaitQueue
 
 	// Rank metadata for the debug lock-order checker. Written by SetRank
@@ -197,7 +197,8 @@ type SleepLock struct {
 
 // Lock acquires for task t, sleeping while held elsewhere. A nil task is
 // permitted for host-side contexts (image building, test harnesses) that
-// run outside the simulated scheduler; they spin-yield instead of sleeping.
+// run outside the simulated scheduler; they sleep on the same wait queue,
+// parked on the host.
 func (l *SleepLock) Lock(t *sched.Task) { l.lock(t, false) }
 
 // LockNested acquires like Lock but tells the rank checker this is a
@@ -230,21 +231,17 @@ func (l *SleepLock) lock(t *sched.Task, nested bool) {
 }
 
 // lockSlow is the contended acquisition: retry the CAS, sleeping between
-// attempts (nil tasks spin-yield and never announce themselves, since no
-// Unlock needs to wake them).
+// attempts. Host contexts (nil t) announce themselves like tasks, so
+// Unlock wakes them too.
 func (l *SleepLock) lockSlow(t *sched.Task) {
 	for !l.state.CompareAndSwap(sleepFree, sleepHeld) {
-		if t == nil {
-			runtime.Gosched()
-			continue
-		}
 		l.waiters.Add(1)
 		l.wq.SleepUnless(t, func() bool { return l.state.Load() == sleepFree })
 		l.waiters.Add(-1)
 	}
 }
 
-// Unlock releases and, if any task is waiting, wakes one.
+// Unlock releases and, if anyone is waiting, wakes one.
 func (l *SleepLock) Unlock() {
 	if l.rank != RankNone && rankCheckOn.Load() {
 		rankCheckRelease(l, 0)
@@ -265,9 +262,9 @@ func (l *SleepLock) Held() bool { return l.state.Load() == sleepHeld }
 // SleepUnless — lost-wakeup-free, and uninterruptible in the D-state
 // sense (a kill takes effect at the task's next killable checkpoint,
 // never by unwinding out of the acquisition); nil tasks (host-side
-// contexts) spin-yield. Writers take priority: once a writer is waiting,
-// new readers queue behind it, so a steady stream of readers cannot
-// starve the writer.
+// contexts) sleep on the same queue. Writers take priority: once a
+// writer is waiting, new readers queue behind it, so a steady stream of
+// readers cannot starve the writer.
 //
 // The filesystems use it for per-mount rename serialization: a
 // same-directory rename only touches one directory (already serialized
@@ -317,16 +314,12 @@ func (l *RWSleepLock) RLock(t *sched.Task) {
 			return
 		}
 		l.mu.Unlock()
-		if t != nil {
-			l.wq.SleepUnless(t, func() bool {
-				l.mu.Lock()
-				ok := !l.writer && l.wpend == 0
-				l.mu.Unlock()
-				return ok
-			})
-		} else {
-			runtime.Gosched()
-		}
+		l.wq.SleepUnless(t, func() bool {
+			l.mu.Lock()
+			ok := !l.writer && l.wpend == 0
+			l.mu.Unlock()
+			return ok
+		})
 	}
 }
 
@@ -363,16 +356,12 @@ func (l *RWSleepLock) Lock(t *sched.Task) {
 	l.wpend++
 	for l.writer || l.readers > 0 {
 		l.mu.Unlock()
-		if t != nil {
-			l.wq.SleepUnless(t, func() bool {
-				l.mu.Lock()
-				ok := !l.writer && l.readers == 0
-				l.mu.Unlock()
-				return ok
-			})
-		} else {
-			runtime.Gosched()
-		}
+		l.wq.SleepUnless(t, func() bool {
+			l.mu.Lock()
+			ok := !l.writer && l.readers == 0
+			l.mu.Unlock()
+			return ok
+		})
 		l.mu.Lock()
 	}
 	l.wpend--

@@ -395,10 +395,3 @@ func (as *AddressSpace) WriteAt(va uint64, buf []byte) error { return as.access(
 func (as *AddressSpace) Stats() (demandFaults, cowBreaks int64, pages int) {
 	return as.demandFaults.Load(), as.cowBreaks.Load(), as.pt.Pages()
 }
-
-// OwnedPages reports how many frames this space owns (memory accounting).
-func (as *AddressSpace) OwnedPages() int {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	return len(as.owned)
-}

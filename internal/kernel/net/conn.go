@@ -1,7 +1,6 @@
 package net
 
 import (
-	"runtime"
 	"sync"
 
 	"protosim/internal/kernel/fs"
@@ -516,7 +515,7 @@ func (c *conn) read(t *sched.Task, p []byte) (int, error) {
 		return 0, nil
 	}
 	for {
-		if t != nil && t.Killed() {
+		if t.Killed() {
 			t.CheckPreempt() // unwinds
 		}
 		c.mu.Lock()
@@ -554,10 +553,6 @@ func (c *conn) read(t *sched.Task, p []byte) (int, error) {
 			return 0, err
 		}
 		c.mu.Unlock()
-		if t == nil {
-			runtime.Gosched()
-			continue
-		}
 		c.rwq.SleepUnless(t, func() bool {
 			if t.Killed() {
 				return true
@@ -577,7 +572,7 @@ func (c *conn) read(t *sched.Task, p []byte) (int, error) {
 func (c *conn) write(t *sched.Task, p []byte) (int, error) {
 	written := 0
 	for written < len(p) {
-		if t != nil && t.Killed() {
+		if t.Killed() {
 			t.CheckPreempt() // unwinds
 		}
 		c.mu.Lock()
@@ -604,10 +599,6 @@ func (c *conn) write(t *sched.Task, p []byte) (int, error) {
 			continue
 		}
 		c.mu.Unlock()
-		if t == nil {
-			runtime.Gosched()
-			continue
-		}
 		c.wwq.SleepUnless(t, func() bool {
 			if t.Killed() {
 				return true

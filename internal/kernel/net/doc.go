@@ -45,6 +45,8 @@
 //
 // Blocking follows the pipe discipline: every wait is a
 // sched.WaitQueue.SleepUnless loop re-checking its condition under the
-// connection lock (lost-wakeup-free), with host-side callers (t == nil)
-// spin-yielding instead.
+// connection lock (lost-wakeup-free). Host-side callers (t == nil) sleep
+// on the same queues, parked on the host. The one poll left is
+// Stack.send's wait for TX ring room from a host context, whose waker may
+// be the caller itself (see send).
 package net

@@ -237,10 +237,14 @@ func (s *Stack) drainNIC() {
 // masked, but the refused submit and a TxRoom that answers false each arm
 // the next one, and a task registers on txWait before that re-check: the
 // softirq's WakeAll after the armed completion finds it on the queue, or
-// the re-check finds the room. Tasks sleep; the softirq and timer
-// goroutines (t == nil) spin-yield, which the TX-completion design keeps
-// finite: the NIC frees ring slots at serialization time, not at
-// completion-drain time.
+// the re-check finds the room. Tasks sleep. The softirq and timer
+// goroutines (t == nil) poll with runtime.Gosched instead, the kernel's
+// one wait that does not sleep on a queue: txWait's waker is the softirq
+// goroutine itself, which may be the caller, and a sleep there would
+// never be woken. The poll stays finite because the NIC frees ring slots
+// at serialization time, not at completion-drain time. Running bottom
+// halves on the simulated cores, with a task for every caller, removes
+// it.
 func (s *Stack) send(t *sched.Task, frame []byte, dstHost uint16) {
 	s.segsOut.Add(1)
 	if s.nic == nil || dstHost == s.host {
@@ -253,17 +257,17 @@ func (s *Stack) send(t *sched.Task, frame []byte, dstHost uint16) {
 		case err == nil:
 			return
 		case errors.Is(err, hw.ErrNICTxRingFull):
-			if t != nil {
-				if t.Killed() {
-					// A killed task must not park uninterruptibly here;
-					// drop the frame — retransmission (or the peer's RST
-					// handling) owns recovery.
-					return
-				}
-				s.txWait.SleepUnless(t, s.nic.TxRoom)
-			} else {
+			if t == nil {
 				runtime.Gosched()
+				continue
 			}
+			if t.Killed() {
+				// A killed task must not park uninterruptibly here;
+				// drop the frame — retransmission (or the peer's RST
+				// handling) owns recovery.
+				return
+			}
+			s.txWait.SleepUnless(t, s.nic.TxRoom)
 		default:
 			// NIC down: drop. Conns wind down via resets/timeouts.
 			return
@@ -522,7 +526,7 @@ func (s *Stack) connect(t *sched.Task, localPort uint16, remote Addr) (*conn, er
 	s.emit(t, g)
 
 	for {
-		if t != nil && t.Killed() {
+		if t.Killed() {
 			t.CheckPreempt() // unwinds
 		}
 		c.mu.Lock()
@@ -538,10 +542,6 @@ func (s *Stack) connect(t *sched.Task, localPort uint16, remote Addr) (*conn, er
 			return c, nil
 		}
 		c.mu.Unlock()
-		if t == nil {
-			runtime.Gosched()
-			continue
-		}
 		c.cwq.SleepUnless(t, func() bool {
 			if t.Killed() {
 				return true
@@ -585,7 +585,7 @@ func (l *listener) enqueue(c *conn) bool {
 // accept blocks for the next handshake-complete conn.
 func (l *listener) accept(t *sched.Task) (*conn, error) {
 	for {
-		if t != nil && t.Killed() {
+		if t.Killed() {
 			t.CheckPreempt() // unwinds
 		}
 		l.mu.Lock()
@@ -600,10 +600,6 @@ func (l *listener) accept(t *sched.Task) (*conn, error) {
 			return nil, ErrListenerClosed
 		}
 		l.mu.Unlock()
-		if t == nil {
-			runtime.Gosched()
-			continue
-		}
 		l.wq.SleepUnless(t, func() bool {
 			if t.Killed() {
 				return true

@@ -71,9 +71,6 @@ type Proc struct {
 	exit int
 }
 
-// Argv returns the program arguments.
-func (p *Proc) Argv() []string { return p.argv }
-
 // Kernel returns the owning kernel (user library code uses it for device
 // discovery in examples/tests; apps stick to syscalls).
 func (p *Proc) Kernel() *Kernel { return p.k }
@@ -168,7 +165,7 @@ func (p *Proc) finalize(code int) {
 		// task must not — its sleep would panic out of finalize and skip
 		// the cleanup below — so it closes host-style instead.
 		t := p.Task
-		if t != nil && t.Killed() {
+		if t.Killed() {
 			t = nil
 		}
 		if p.ring != nil {

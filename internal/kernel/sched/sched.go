@@ -202,10 +202,6 @@ func (s *Scheduler) wake(t *Task) {
 	}
 }
 
-// Wake makes a sleeping task runnable (exported for wait queues and IRQ
-// handlers).
-func (s *Scheduler) Wake(t *Task) { s.wake(t) }
-
 // dequeue picks the best task for core. Caller holds s.mu. Returns nil when
 // the core's queue(s) are empty.
 func (s *Scheduler) dequeue(core int) *Task {
@@ -302,7 +298,7 @@ func (s *Scheduler) Kill(t *Task) {
 	wq := t.waitingOn
 	t.waitMu.Unlock()
 	if wq != nil {
-		wq.remove(t)
+		wq.remove(waiter{t: t})
 	}
 	s.wake(t)
 }

@@ -139,8 +139,9 @@ func (t *Task) chargeCPU() {
 	}
 }
 
-// Killed reports whether the kernel has condemned this task.
-func (t *Task) Killed() bool { return t.killed.Load() }
+// Killed reports whether the kernel has condemned this task. A nil task
+// (a host context) is never killed.
+func (t *Task) Killed() bool { return t != nil && t.killed.Load() }
 
 // MarkResched flags the task to yield at its next preemption checkpoint.
 // The per-core timer IRQ handler calls this (via Scheduler.Tick).

@@ -6,21 +6,42 @@ import "sync"
 // wakers (other tasks, IRQ handlers, timers) wake one or all. Semaphores,
 // pipes, the keyboard ring, and the audio pipeline are all built on it.
 //
+// Host contexts — boot-time mounts, IRQ and timer goroutines, test
+// harnesses: code with no task (t == nil) — sleep on the same queue
+// through SleepUnless, parked on a channel of their own instead of giving
+// a simulated core back. Host and task waiters share one FIFO, so every
+// wait site has one loop whoever calls it.
+//
 // Wakeups may be spurious (a wake can race a task that was about to block),
 // so callers re-check their condition in a loop — the same contract as a
 // condition variable, and the reason xv6 wraps sleep in while loops.
 type WaitQueue struct {
 	mu      sync.Mutex
-	waiters []*Task
+	waiters []waiter
+	spare   []waiter // WakeAll's second backing array, so sleeps never allocate
+}
+
+// waiter is one sleeper: a task, or a host context parked on ch.
+type waiter struct {
+	t  *Task
+	ch chan struct{}
+}
+
+// wake ends w's sleep. Each waiter is woken at most once: only the waker
+// that took it off the list calls this.
+func (w waiter) wake() {
+	if w.t != nil {
+		w.t.sched.wake(w.t)
+		return
+	}
+	close(w.ch)
 }
 
 // Sleep blocks the calling task until a wake. The caller re-checks its
 // condition afterwards.
 func (wq *WaitQueue) Sleep(t *Task) {
 	t.exitIfKilled()
-	wq.mu.Lock()
-	wq.waiters = append(wq.waiters, t)
-	wq.mu.Unlock()
+	wq.add(waiter{t: t})
 
 	t.waitMu.Lock()
 	t.waitingOn = wq
@@ -33,7 +54,7 @@ func (wq *WaitQueue) Sleep(t *Task) {
 	t.waitMu.Unlock()
 	// If we woke for a reason other than WakeOne (kill, racing wake), make
 	// sure we are no longer on the waiter list.
-	wq.remove(t)
+	wq.remove(waiter{t: t})
 }
 
 // SleepUnless blocks t on wq unless done() already reports true once t is
@@ -50,31 +71,39 @@ func (wq *WaitQueue) Sleep(t *Task) {
 // would leak the buffer locks held across the wait. The kill takes effect
 // at the task's next killable checkpoint. Spurious returns are possible;
 // callers loop.
+//
+// A nil t is a host context. It registers and re-checks done() exactly
+// like a task, then blocks its goroutine until a WakeOne or WakeAll picks
+// it. Nothing can kill it, and it holds no simulated core, so its waker
+// must be some other goroutine: a host context that waits for work only
+// it would do sleeps forever.
 func (wq *WaitQueue) SleepUnless(t *Task, done func() bool) {
-	wq.mu.Lock()
-	wq.waiters = append(wq.waiters, t)
-	wq.mu.Unlock()
+	if t == nil {
+		w := waiter{ch: make(chan struct{})}
+		wq.add(w)
+		if !done() {
+			<-w.ch
+		}
+		wq.remove(w)
+		return
+	}
+	w := waiter{t: t}
+	wq.add(w)
 
 	t.waitMu.Lock()
 	t.waitingOn = wq
 	t.waitMu.Unlock()
 
-	if done() {
-		// Condition already satisfied: don't block. A concurrent wake may
-		// have latched wakePending; that surfaces as a spurious return from
-		// the task's next block, which the sleep contract allows.
-		t.waitMu.Lock()
-		t.waitingOn = nil
-		t.waitMu.Unlock()
-		wq.remove(t)
-		return
+	if !done() {
+		t.blockNoKill()
 	}
-	t.blockNoKill()
-
+	// A wake that raced a satisfied done() may have latched wakePending;
+	// that surfaces as a spurious return from the task's next block, which
+	// the sleep contract allows.
 	t.waitMu.Lock()
 	t.waitingOn = nil
 	t.waitMu.Unlock()
-	wq.remove(t)
+	wq.remove(w)
 }
 
 // SleepUnlessKillable is SleepUnless as an interruptible sleep, for waits
@@ -86,47 +115,70 @@ func (wq *WaitQueue) SleepUnlessKillable(t *Task, done func() bool) {
 	t.exitIfKilled()
 }
 
-// WakeOne wakes the longest-waiting task, if any. Returns true if a task
-// was woken.
+// WakeOne wakes the longest waiter, task or host, if any. Returns true if
+// one was woken.
 func (wq *WaitQueue) WakeOne() bool {
 	wq.mu.Lock()
 	if len(wq.waiters) == 0 {
 		wq.mu.Unlock()
 		return false
 	}
-	t := wq.waiters[0]
-	wq.waiters = wq.waiters[1:]
+	w := wq.waiters[0]
+	n := copy(wq.waiters, wq.waiters[1:])
+	wq.waiters[n] = waiter{}
+	wq.waiters = wq.waiters[:n]
 	wq.mu.Unlock()
-	t.sched.wake(t)
+	w.wake()
 	return true
 }
 
-// WakeAll wakes every waiting task.
+// WakeAll wakes every waiter, in FIFO order. The list is walked outside
+// wq.mu, so sleepers that register meanwhile go to the spare array; the
+// walked one becomes the next spare. The two alternate, and a queue in
+// steady use never allocates.
 func (wq *WaitQueue) WakeAll() int {
 	wq.mu.Lock()
 	ws := wq.waiters
-	wq.waiters = nil
-	wq.mu.Unlock()
-	for _, t := range ws {
-		t.sched.wake(t)
+	if len(ws) == 0 {
+		wq.mu.Unlock()
+		return 0
 	}
+	wq.waiters, wq.spare = wq.spare, nil
+	wq.mu.Unlock()
+	for _, w := range ws {
+		w.wake()
+	}
+	clear(ws)
+	wq.mu.Lock()
+	if wq.spare == nil {
+		wq.spare = ws[:0]
+	}
+	wq.mu.Unlock()
 	return len(ws)
 }
 
-// Waiting reports how many tasks are blocked on the queue.
+// Waiting reports how many waiters, task or host, are blocked on the queue.
 func (wq *WaitQueue) Waiting() int {
 	wq.mu.Lock()
 	defer wq.mu.Unlock()
 	return len(wq.waiters)
 }
 
-// remove deletes t from the waiter list (kill path and post-wake cleanup).
-func (wq *WaitQueue) remove(t *Task) {
+func (wq *WaitQueue) add(w waiter) {
+	wq.mu.Lock()
+	wq.waiters = append(wq.waiters, w)
+	wq.mu.Unlock()
+}
+
+// remove deletes w from the waiter list (kill path and post-wake cleanup).
+func (wq *WaitQueue) remove(w waiter) {
 	wq.mu.Lock()
 	defer wq.mu.Unlock()
-	for i, w := range wq.waiters {
-		if w == t {
-			wq.waiters = append(wq.waiters[:i], wq.waiters[i+1:]...)
+	for i, x := range wq.waiters {
+		if x == w {
+			n := copy(wq.waiters[i:], wq.waiters[i+1:])
+			wq.waiters[i+n] = waiter{}
+			wq.waiters = wq.waiters[:i+n]
 			return
 		}
 	}

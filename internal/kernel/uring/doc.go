@@ -56,4 +56,9 @@
 // killed before its first dispatch is counted), while a condemned task's
 // finalize uses Abandon — close without the join — because parking
 // host-side would hold the core the workers need to exit.
+//
+// Every wait in the ring — a worker idling for entries, Enter waiting
+// for completions, Close joining the pool — is one sched.WaitQueue
+// sleep. A nil task (a test driving the ring from the host) sleeps on the
+// same queues, parked on the host, and the same wakes reach it.
 package uring

@@ -112,9 +112,8 @@ type Ring struct {
 	nDrains       int64
 
 	workWQ  sched.WaitQueue // workers waiting for entries
-	cqWQ    sched.WaitQueue // Enter tasks waiting for completions
+	cqWQ    sched.WaitQueue // Enter callers waiting for completions
 	closeWQ sched.WaitQueue // Close waiting for the pool to exit
-	cond    *sync.Cond      // host-side (nil-task) waiters
 }
 
 // New builds a ring with pooled slots and starts its worker pool. The FD
@@ -147,7 +146,6 @@ func New(entries int, fds *fs.FDTable, opts Options) (*Ring, error) {
 		work:    make([]SQE, 2*entries),
 		cq:      make([]CQE, 2*entries),
 	}
-	r.cond = sync.NewCond(&r.mu)
 	r.workersLive = workers
 	tasks := make([]*sched.Task, workers)
 	for i := 0; i < workers; i++ {
@@ -175,7 +173,6 @@ func New(entries int, fds *fs.FDTable, opts Options) (*Ring, error) {
 		r.workWQ.WakeAll()
 		r.cqWQ.WakeAll()
 		r.closeWQ.WakeAll()
-		r.cond.Broadcast()
 	}()
 	return r, nil
 }
@@ -219,9 +216,8 @@ func (r *Ring) Queue(e SQE) error {
 // error) or when admission has to hold entries back so the CQ can absorb
 // every outstanding completion. minComplete is clamped to the number of
 // completions that can still arrive (unreaped + in flight + handed off),
-// so over-asking cannot sleep forever. A nil task busy-waits host-style
-// (tests); real callers pass their scheduler task and sleep on the
-// simulated core.
+// so over-asking cannot sleep forever. Callers pass their scheduler task
+// and sleep on the simulated core; a nil task (tests) parks on the host.
 func (r *Ring) Enter(t *sched.Task, toSubmit, minComplete int) (int, error) {
 	r.mu.Lock()
 	if r.closed {
@@ -278,15 +274,6 @@ func (r *Ring) Enter(t *sched.Task, toSubmit, minComplete int) (int, error) {
 			r.mu.Unlock()
 			return n, ErrClosed
 		}
-		if t == nil {
-			// Host-side waiter: sleep on the condition variable (the
-			// workers broadcast every completion).
-			for r.cqLen < minComplete && !r.closed {
-				r.cond.Wait()
-			}
-			r.mu.Unlock()
-			continue
-		}
 		r.mu.Unlock()
 		r.cqWQ.SleepUnless(t, func() bool {
 			r.mu.Lock()
@@ -341,14 +328,6 @@ func (r *Ring) Close(t *sched.Task) error {
 		if done {
 			return nil
 		}
-		if t == nil {
-			r.mu.Lock()
-			for r.workersLive > 0 {
-				r.cond.Wait()
-			}
-			r.mu.Unlock()
-			return nil
-		}
 		r.closeWQ.SleepUnless(t, func() bool {
 			r.mu.Lock()
 			done := r.workersLive == 0
@@ -387,7 +366,6 @@ func (r *Ring) shut() error {
 	r.mu.Unlock()
 	r.workWQ.WakeAll()
 	r.cqWQ.WakeAll()
-	r.cond.Broadcast()
 	return nil
 }
 
@@ -433,7 +411,6 @@ func (r *Ring) worker(t *sched.Task) {
 		r.cqLen++
 		r.mu.Unlock()
 		r.cqWQ.WakeAll()
-		r.cond.Broadcast()
 	}
 }
 
